@@ -14,6 +14,12 @@ cargo test -q --release
 ! grep -rn "Response::text(4" crates/serve/src crates/cluster/src --include='*.rs'
 ! grep -rn "Response::text(5" crates/serve/src crates/cluster/src --include='*.rs'
 
+# One front door: serve's Api is the only Handler; the coordinator is a
+# Backend behind it and must not grow its own route table, tenant gate,
+# or async-job registry again (docs/cluster.md §7).
+! grep -rn "impl Handler for" crates/cluster/src
+! grep -rnE "TenantGate|AsyncJobs" crates/cluster/src
+
 # Server smoke: ephemeral port, /healthz + one POST /v1/runs through the
 # std-only client, warm repeat must be a byte-identical cache hit, the
 # deprecated /v1/run alias must answer byte-identically with a

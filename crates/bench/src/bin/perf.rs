@@ -579,8 +579,8 @@ fn main() {
     }
 }
 
-/// Process-wide counts for the hot-path phases the tentpole optimized:
-/// the simulator's event-queue pops and the engine's cache fast path
+/// Process-wide counts for the hot-path phases: the run loop's
+/// next-completion searches (`sim.event_pop`) and the engine's cache fast path
 /// (probe / zero-copy validate / full decode / execute). Counts cover
 /// the whole perf run; the interesting signal is the ratio — warm reads
 /// should validate, not decode.

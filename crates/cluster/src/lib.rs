@@ -29,6 +29,6 @@ pub mod flight;
 pub mod ring;
 pub mod stitch;
 
-pub use coordinator::{serve_cluster, serve_cluster_durable, ClusterConfig, Coordinator};
+pub use coordinator::{serve_cluster, serve_cluster_durable, ClusterBackend, ClusterConfig};
 pub use flight::{FlightMap, FlightResult};
 pub use ring::WorkerRing;

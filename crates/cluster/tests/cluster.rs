@@ -667,3 +667,141 @@ fn coordinator_sigkill_mid_sweep_resumes_to_byte_identical_records() {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
+
+// ---- admission at the coordinator edge ---------------------------------
+
+/// Spawns the real `coordinator` binary without a journal and with the
+/// tenant plan `tenants`, then tails its log for the listening address.
+// The child is returned to the caller, which kills and waits on it.
+#[allow(clippy::zombie_processes)]
+fn spawn_gated_coordinator(
+    workers: &[String],
+    tenants: &str,
+    log: &std::path::Path,
+) -> (std::process::Child, String) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_coordinator"))
+        .args(["--addr", "127.0.0.1:0", "--workers", &workers.join(",")])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::fs::File::create(log).expect("create coordinator log"))
+        .env_remove("HETEROPIPE_FAULTS")
+        .env("HETEROPIPE_TENANTS", tenants)
+        .spawn()
+        .expect("spawn coordinator binary");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        if let Ok(text) = std::fs::read_to_string(log) {
+            if let Some(line) = text.lines().find(|l| l.contains("\"msg\":\"listening\"")) {
+                let addr = Json::parse(line)
+                    .and_then(|v| v.get("addr").and_then(Json::as_str).map(str::to_string))
+                    .expect("listening line carries addr");
+                return (child, addr);
+            }
+        }
+        if std::time::Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("coordinator did not report listening within 60s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+/// The coordinator's admission answers like a single node's: a tenant
+/// over its budget gets a 429 `tenant_throttled` envelope with
+/// `Retry-After`, per-tenant counters appear in both `/metrics` formats,
+/// a malformed `X-Deadline-Ms` is a 400, and `?async=1` without
+/// `--journal-dir` is a 503 `async_unavailable`.
+#[test]
+fn coordinator_admission_throttles_tenants_and_refuses_malformed_requests() {
+    let dir = temp_dir("admission-w");
+    let worker = start_worker(&dir);
+    let logs = temp_dir("admission-logs");
+    std::fs::create_dir_all(&logs).expect("create log dir");
+    let (mut child, addr) = spawn_gated_coordinator(
+        &[worker.addr().to_string()],
+        "alice=1:2",
+        &logs.join("coordinator.log"),
+    );
+    let mut client = Client::new(addr).with_timeout(std::time::Duration::from_secs(10));
+    let code = |resp: &heteropipe_serve::ClientResponse| {
+        resp.json()
+            .and_then(|v| {
+                v.get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+            })
+            .unwrap_or_default()
+    };
+
+    // A burst of 2 at 1 request/s: a quick run of requests overdraws it.
+    let throttled = (0..10)
+        .map(|_| {
+            client
+                .get_with_headers("/v1/benchmarks", &[("X-Api-Key", "alice")])
+                .expect("tenant request")
+        })
+        .find(|resp| resp.status == 429)
+        .expect("alice is throttled once her burst is spent");
+    assert_eq!(code(&throttled), "tenant_throttled");
+    assert!(
+        throttled
+            .header("retry-after")
+            .is_some_and(|v| v.parse::<u64>().is_ok_and(|s| s >= 1)),
+        "429 carries Retry-After"
+    );
+
+    // Per-tenant counters in the JSON document...
+    let m = client
+        .get("/metrics")
+        .expect("metrics")
+        .json()
+        .expect("json");
+    let alice = m
+        .get("tenants")
+        .and_then(Json::as_array)
+        .and_then(|ts| {
+            ts.iter()
+                .find(|t| t.get("tenant").and_then(Json::as_str) == Some("alice"))
+                .cloned()
+        })
+        .expect("alice has a tenants entry");
+    assert!(alice.get("requests").and_then(Json::as_u64).unwrap() >= 2);
+    assert!(alice.get("throttled").and_then(Json::as_u64).unwrap() >= 1);
+    // ...and in the Prometheus exposition.
+    let prom = client
+        .get("/metrics?format=prometheus")
+        .expect("prometheus metrics");
+    let text = String::from_utf8(prom.body).unwrap();
+    heteropipe_obs::expfmt::parse(&text).expect("valid exposition format");
+    for family in [
+        "heteropipe_tenant_requests_total{tenant=\"alice\"}",
+        "heteropipe_tenant_throttled_total{tenant=\"alice\"}",
+    ] {
+        assert!(text.contains(family), "missing {family}");
+    }
+
+    // A malformed deadline is the caller's error, not a timeout.
+    let bad = client
+        .get_with_headers("/v1/benchmarks", &[("X-Deadline-Ms", "abc")])
+        .expect("bad deadline request");
+    assert_eq!(bad.status, 400);
+    assert_eq!(code(&bad), "bad_request");
+
+    // Async submission needs a journal this coordinator was not given.
+    let body = Json::Obj(vec![(
+        "jobs".into(),
+        Json::Arr(vec![job("rodinia/kmeans", 0.05)]),
+    )]);
+    let unavailable = client
+        .post_json("/v1/sweeps?async=1", &body)
+        .expect("async submit");
+    assert_eq!(unavailable.status, 503);
+    assert_eq!(code(&unavailable), "async_unavailable");
+
+    child.kill().expect("stop coordinator");
+    let _ = child.wait();
+    worker.shutdown_and_join();
+    for dir in [&dir, &logs] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}

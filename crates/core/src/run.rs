@@ -299,10 +299,10 @@ impl<'a> Runner<'a> {
                     }
                 }
             }
-            // Advance to the next completion. The pop is profiled (this is
-            // the event-queue cost ROADMAP's calendar-queue item targets);
-            // the profiler only accumulates wall-time counters, so results
-            // stay deterministic.
+            // Advance to the next completion. The search is profiled under
+            // the historical phase name `sim.event_pop`; the profiler only
+            // accumulates wall-time counters, so results stay
+            // deterministic.
             let (t, flow) =
                 heteropipe_obs::profile::time(event_pop_phase(), || self.net.next_completion())
                     .expect("deadlock: tasks pending but nothing running");

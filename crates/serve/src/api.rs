@@ -1,7 +1,8 @@
-//! The HTTP API over the engine: health, metrics (JSON and Prometheus
-//! text format), the benchmark catalog, resource-oriented runs with
-//! retrievable per-run traces, batched sweeps streamed as NDJSON, and
-//! whole-experiment renders. The full route reference, error envelope
+//! The one front door: every route, admission check, async lifecycle,
+//! journal lookup, readiness probe and shared `/metrics` family of the
+//! HTTP API, over a [`Backend`] that decides where the work runs — the
+//! engine in this process ([`LocalBackend`]) or a cluster of workers
+//! (`heteropipe_cluster`). The full route reference, error envelope
 //! schema, and deprecation policy live in `docs/api.md`.
 //!
 //! Responses are built from [`crate::json::Json`] values whose object keys
@@ -12,8 +13,8 @@
 //! back to `GET /v1/runs/{key}` returns the cached report and
 //! `GET /v1/runs/{key}/trace` the job's Chrome-trace timeline, stamped
 //! with the originating request's correlation id. `POST /v1/sweeps`
-//! executes a whole batch through the engine's dedup + single-flight
-//! pipeline, streaming one NDJSON record per entry in completion order.
+//! executes a whole batch through the backend's dedup + single-flight
+//! pipeline, streaming one NDJSON record per entry.
 //! `POST /v1/workflows` runs a whole task graph — a built-in figure
 //! graph by name or an inline sweep-stage list — through the
 //! `heteropipe-flow` DAG runner, streaming one NDJSON stage-completion
@@ -23,28 +24,28 @@
 //! remain as deprecated aliases answering identically to their canonical
 //! forms, plus a `Deprecation` header.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-use heteropipe::experiments::{characterize_all_with, fig3, fig456, fig78, fig9, tables};
-use heteropipe::{AccessClass, Executor, JobSpec, Organization, Platform, RunReport, SystemConfig};
-use heteropipe_engine::{run_key, sweep_key, Engine, EngineError, Journal, RunKey, SweepRecord};
+use heteropipe::{AccessClass, JobSpec, Organization, Platform, RunReport, SystemConfig};
+use heteropipe_engine::{run_key, Engine, Journal, RunKey};
 use heteropipe_faults::Injector;
 use heteropipe_flow::{
-    figures, FlowRunner, Stage, StageEvent, StageKind, StageValue, TaskGraph, WorkflowResult,
+    figures, Stage, StageEvent, StageKind, StageValue, TaskGraph, WorkflowResult,
 };
 use heteropipe_obs::log as obs_log;
 use heteropipe_obs::MetricRegistry;
 use heteropipe_workloads::{registry, Pipeline, Scale, Workload};
 
+use crate::backend::{deadline_ms, Backend, Batch, Deadline};
 use crate::breaker::CircuitBreaker;
 use crate::error::envelope;
 use crate::http::{BodyStream, Request, Response};
 use crate::jobs::{self, AsyncJob, AsyncJobs, JobState};
 use crate::json::Json;
-use crate::server::{Handler, ServerConfig, ServerStats};
-use crate::server::{Server, ServerHandle};
+use crate::local::LocalBackend;
+use crate::server::{Handler, Server, ServerConfig, ServerHandle, ServerStats};
 use crate::tenant::{Admit, TenantGate};
 
 /// Most entries accepted in one `POST /v1/sweeps` batch; larger sweeps
@@ -60,10 +61,9 @@ pub const MAX_WORKFLOW_STAGES: usize = 32;
 
 /// The handler implementing the heteropipe-serve routes. Share it via
 /// `Arc`; every worker thread dispatches through the same instance and the
-/// same underlying [`Engine`].
+/// same underlying [`Backend`].
 pub struct Api {
-    engine: Arc<Engine>,
-    flow: Arc<FlowRunner>,
+    backend: Arc<dyn Backend>,
     stats: OnceLock<Arc<ServerStats>>,
     breaker: OnceLock<Arc<CircuitBreaker>>,
     server_faults: OnceLock<Arc<Injector>>,
@@ -71,25 +71,18 @@ pub struct Api {
     async_jobs: AsyncJobs,
     tenants: OnceLock<Arc<TenantGate>>,
     deadline_exceeded: AtomicU64,
-    /// Rendered report-JSON bodies keyed by run key. The key is a content
-    /// address and `report_json` is deterministic, so a memoized body is
-    /// immutable; warm `GET /v1/runs/{key}` serves it without touching
-    /// the record codec at all (see [`Api::run_report`]).
-    report_bodies: Mutex<HashMap<u128, Arc<Vec<u8>>>>,
 }
 
-/// Most rendered report bodies [`Api::run_report`] memoizes before the
-/// map is cleared wholesale (reports are a few KiB each, so this bounds
-/// the memo near 100 MiB worst case).
-const MAX_MEMOIZED_BODIES: usize = 8192;
-
 impl Api {
-    /// An API over `engine`.
+    /// An API over `engine` (a single node).
     pub fn new(engine: Arc<Engine>) -> Arc<Api> {
-        let flow = Arc::new(FlowRunner::new(Arc::clone(&engine)));
+        Api::with_backend(Arc::new(LocalBackend::new(engine)))
+    }
+
+    /// An API over any backend.
+    pub fn with_backend(backend: Arc<dyn Backend>) -> Arc<Api> {
         Arc::new(Api {
-            engine,
-            flow,
+            backend,
             stats: OnceLock::new(),
             breaker: OnceLock::new(),
             server_faults: OnceLock::new(),
@@ -97,18 +90,7 @@ impl Api {
             async_jobs: AsyncJobs::new(),
             tenants: OnceLock::new(),
             deadline_exceeded: AtomicU64::new(0),
-            report_bodies: Mutex::new(HashMap::new()),
         })
-    }
-
-    /// The engine this API executes against.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
-    }
-
-    /// The workflow runner behind `POST /v1/workflows`.
-    pub fn flow(&self) -> &Arc<FlowRunner> {
-        &self.flow
     }
 
     /// Wires in the server's own counters so `/metrics` can report them.
@@ -123,28 +105,11 @@ impl Api {
         let _ = self.breaker.set(breaker);
     }
 
-    /// Wires in the server's fault injector so `/metrics` can export its
-    /// fired-fault tallies. Called by [`serve`]; later calls ignored.
-    pub fn attach_faults(&self, faults: Arc<Injector>) {
-        let _ = self.server_faults.set(faults);
-    }
-
-    /// Wires in the write-ahead journal enabling `?async=1` submission
-    /// and crash-resume. Called by [`serve_durable`]; later calls ignored.
-    pub fn attach_journal(&self, journal: Arc<Journal>) {
-        let _ = self.journal.set(journal);
-    }
-
     /// Wires in the per-tenant admission gate. [`serve`] builds it from
     /// `HETEROPIPE_TENANTS`; tests attach a hand-parsed gate directly.
     /// Later calls ignored.
     pub fn attach_tenants(&self, tenants: Arc<TenantGate>) {
         let _ = self.tenants.set(tenants);
-    }
-
-    /// The write-ahead journal, when one is attached.
-    pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.get()
     }
 }
 
@@ -152,7 +117,7 @@ impl Api {
 /// admission gate is read from `HETEROPIPE_TENANTS`; a malformed plan
 /// fails startup rather than admitting everyone silently.
 pub fn serve(cfg: ServerConfig, engine: Arc<Engine>) -> std::io::Result<ServerHandle> {
-    serve_inner(cfg, engine, None)
+    serve_backend(cfg, Arc::new(LocalBackend::new(engine)), None)
 }
 
 /// Like [`serve`], but with a write-ahead journal: `?async=1` submission
@@ -166,21 +131,24 @@ pub fn serve_durable(
     engine: Arc<Engine>,
     journal: Arc<Journal>,
 ) -> std::io::Result<ServerHandle> {
-    serve_inner(cfg, engine, Some(journal))
+    serve_backend(cfg, Arc::new(LocalBackend::new(engine)), Some(journal))
 }
 
-fn serve_inner(
+/// Binds and starts a server running [`Api`] over any backend, with the
+/// tenant gate from `HETEROPIPE_TENANTS` and, when `journal` is given,
+/// `?async=1` submission and crash-resume (see [`serve_durable`]).
+pub fn serve_backend(
     cfg: ServerConfig,
-    engine: Arc<Engine>,
+    backend: Arc<dyn Backend>,
     journal: Option<Arc<Journal>>,
 ) -> std::io::Result<ServerHandle> {
-    let api = Api::new(engine);
-    api.attach_faults(Arc::clone(&cfg.faults));
+    let api = Api::with_backend(backend);
+    let _ = api.server_faults.set(Arc::clone(&cfg.faults));
     let tenants = TenantGate::from_env()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     api.attach_tenants(Arc::new(tenants));
     if let Some(journal) = journal {
-        api.attach_journal(journal);
+        let _ = api.journal.set(journal);
     }
     let server = Server::bind(cfg, api.clone())?;
     api.attach_stats(server.stats());
@@ -192,9 +160,21 @@ fn serve_inner(
 
 impl Handler for Api {
     fn handle(&self, req: &Request) -> Response {
-        if let Some(refused) = self.admission(req) {
-            return refused;
+        let resp = match self.admission(req) {
+            Some(refused) => refused,
+            None => self.route(req),
+        };
+        // Every 504 is a spent deadline budget: refused at admission,
+        // aborted mid-request by the backend, or refused by a worker.
+        if resp.status == 504 {
+            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
         }
+        resp
+    }
+}
+
+impl Api {
+    fn route(&self, req: &Request) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz" | "/healthz/live") => health(),
             ("GET", "/healthz/ready") => self.ready(req),
@@ -217,9 +197,9 @@ impl Handler for Api {
             (_, path) if path.starts_with("/v1/runs/") => {
                 self.run_resource(req, &path["/v1/runs/".len()..], false)
             }
-            // A sweep's retained trace lives under the sweep key the
-            // `X-Sweep-Key` response header reported; workers and the
-            // cluster coordinator expose the same shape.
+            // A sweep's async status, journaled records, and retained
+            // trace live under the sweep key the `X-Sweep-Key` response
+            // header reported.
             (_, path) if path.starts_with("/v1/sweeps/") => {
                 self.sweep_resource(req, &path["/v1/sweeps/".len()..])
             }
@@ -248,13 +228,11 @@ impl Handler for Api {
             _ => fail(req, 404, "not_found", "no such route"),
         }
     }
-}
 
-impl Api {
-    /// The front-door admission check every route but the operator
-    /// surfaces (health probes, metric scrapes) passes through: the
-    /// per-tenant token bucket first, then the `X-Deadline-Ms` budget.
-    /// `None` means admitted.
+    /// The admission check every route but the operator surfaces (health
+    /// probes, metric scrapes) passes through: the per-tenant token
+    /// bucket first, then the `X-Deadline-Ms` budget. `None` means
+    /// admitted.
     fn admission(&self, req: &Request) -> Option<Response> {
         if matches!(
             req.path.as_str(),
@@ -279,47 +257,28 @@ impl Api {
         }
         match deadline_ms(req) {
             Err(why) => Some(fail(req, 400, "bad_request", &why)),
-            Ok(Some(0)) => Some(self.deadline_refusal(req)),
+            Ok(Some(0)) => Some(envelope(
+                504,
+                "deadline_exceeded",
+                "deadline budget exhausted before execution",
+                Some(1),
+                &req.request_id,
+            )),
             Ok(_) => None,
         }
-    }
-
-    /// The 504 envelope for a request whose deadline budget is already
-    /// spent, counted for `/metrics`.
-    fn deadline_refusal(&self, req: &Request) -> Response {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        envelope(
-            504,
-            "deadline_exceeded",
-            "deadline budget exhausted before execution",
-            Some(1),
-            &req.request_id,
-        )
-    }
-}
-
-/// Parses the `X-Deadline-Ms` header: the caller's remaining time budget
-/// in milliseconds, decremented hop by hop across the cluster. Absent
-/// means no deadline; a non-integer value is a 400-shaped error.
-pub fn deadline_ms(req: &Request) -> Result<Option<u64>, String> {
-    match req.header("x-deadline-ms") {
-        None => Ok(None),
-        Some(v) => v.trim().parse::<u64>().map(Some).map_err(|_| {
-            format!("X-Deadline-Ms must be a non-negative integer of milliseconds, got {v:?}")
-        }),
     }
 }
 
 /// Whether the request asked for asynchronous (journaled) execution:
 /// `?async=1` or `?async=true`.
-pub fn wants_async(req: &Request) -> bool {
+fn wants_async(req: &Request) -> bool {
     req.query
         .split('&')
         .any(|kv| kv == "async=1" || kv == "async=true")
 }
 
 /// Parses the `?from_index=N` resume cursor of a `/records` fetch.
-pub fn from_index(req: &Request) -> Result<u64, String> {
+fn from_index(req: &Request) -> Result<u64, String> {
     match req
         .query
         .split('&')
@@ -334,7 +293,7 @@ pub fn from_index(req: &Request) -> Result<u64, String> {
 
 /// The error envelope with the request's correlation id (see
 /// [`crate::error::envelope`]).
-fn fail(req: &Request, status: u16, code: &str, message: &str) -> Response {
+pub fn fail(req: &Request, status: u16, code: &str, message: &str) -> Response {
     envelope(status, code, message, None, &req.request_id)
 }
 
@@ -360,11 +319,13 @@ fn health() -> Response {
 
 impl Api {
     /// Readiness: whether this instance should receive traffic. Unready
-    /// (503 + `Retry-After`) while the circuit breaker is open or graceful
-    /// shutdown has begun; liveness stays green either way, so an
-    /// orchestrator drains traffic instead of killing the process. The
-    /// unready body is the standard error envelope extended with the
-    /// probe fields (`status`, `breaker`, `shutting_down`).
+    /// (503 + `Retry-After`) while the circuit breaker is open, graceful
+    /// shutdown has begun, or the backend cannot place work (a
+    /// coordinator whose every worker breaker is open); liveness stays
+    /// green either way, so an orchestrator drains traffic instead of
+    /// killing the process. The unready body is the standard error
+    /// envelope extended with the probe fields (`status`, `breaker`, the
+    /// backend's own fields, `shutting_down`).
     fn ready(&self, req: &Request) -> Response {
         let breaker_open = self.breaker.get().is_some_and(|b| b.currently_open());
         let shutting_down = self
@@ -372,43 +333,44 @@ impl Api {
             .get()
             .is_some_and(|s| s.shutting_down.load(Ordering::SeqCst));
         let state = self.breaker.get().map_or("unknown", |b| b.state_name());
-        let probe = vec![
+        let (backend_fields, backend_unready) = self.backend.readiness();
+        let unready = if shutting_down {
+            Some("shutting down")
+        } else if breaker_open {
+            Some("circuit breaker open")
+        } else {
+            backend_unready
+        };
+        let mut probe = vec![
             (
                 "status".to_string(),
-                Json::str(if breaker_open || shutting_down {
+                Json::str(if unready.is_some() {
                     "unready"
                 } else {
                     "ready"
                 }),
             ),
             ("breaker".to_string(), Json::str(state)),
-            ("shutting_down".to_string(), Json::Bool(shutting_down)),
         ];
-        if breaker_open || shutting_down {
-            let retry = self.breaker.get().map_or(1, |b| b.retry_after_secs());
-            let mut fields = vec![
-                (
-                    "error".to_string(),
-                    Json::Obj(vec![
-                        ("code".into(), Json::str("unready")),
-                        (
-                            "message".into(),
-                            Json::str(if shutting_down {
-                                "shutting down"
-                            } else {
-                                "circuit breaker open"
-                            }),
-                        ),
-                        ("retry_after_s".into(), Json::U64(retry)),
-                    ]),
-                ),
-                ("request_id".to_string(), Json::str(&req.request_id)),
-            ];
-            fields.extend(probe);
-            Response::json(503, &Json::Obj(fields)).with_header("Retry-After", &retry.to_string())
-        } else {
-            Response::json(200, &Json::Obj(probe))
-        }
+        probe.extend(backend_fields);
+        probe.push(("shutting_down".to_string(), Json::Bool(shutting_down)));
+        let Some(message) = unready else {
+            return Response::json(200, &Json::Obj(probe));
+        };
+        let retry = self.breaker.get().map_or(1, |b| b.retry_after_secs());
+        let mut fields = vec![
+            (
+                "error".to_string(),
+                Json::Obj(vec![
+                    ("code".into(), Json::str("unready")),
+                    ("message".into(), Json::str(message)),
+                    ("retry_after_s".into(), Json::U64(retry)),
+                ]),
+            ),
+            ("request_id".to_string(), Json::str(&req.request_id)),
+        ];
+        fields.extend(probe);
+        Response::json(503, &Json::Obj(fields)).with_header("Retry-After", &retry.to_string())
     }
 }
 
@@ -429,6 +391,11 @@ fn valid_run_key(key: &str) -> bool {
     key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
+/// A path key already checked by [`valid_run_key`].
+fn parsed_key(key: &str) -> RunKey {
+    RunKey::from_hex(key).expect("validated by valid_run_key")
+}
+
 impl Api {
     /// Dispatches `/v1/runs/{key}` and its sub-resources (`/trace`), plus
     /// the deprecated `/v1/run/{key}/trace` alias when `alias` is set.
@@ -447,7 +414,7 @@ impl Api {
                 if req.method != "GET" {
                     return method_not_allowed(req, "GET");
                 }
-                let resp = self.run_trace(req, key);
+                let resp = self.backend.run_trace(req, parsed_key(key));
                 if alias {
                     deprecated(resp, &format!("/v1/runs/{key}/trace"))
                 } else {
@@ -467,7 +434,7 @@ impl Api {
                 if req.method != "GET" {
                     return method_not_allowed(req, "GET");
                 }
-                self.run_report(req, key)
+                self.backend.run_report(req, parsed_key(key))
             }
             (Some(other), _) => fail(
                 req,
@@ -478,65 +445,9 @@ impl Api {
         }
     }
 
-    /// `GET /v1/runs/{key}`: the cached report for a previously executed
-    /// run, straight from the engine's result cache — no execution, no
-    /// cache-metric side effects.
-    ///
-    /// The hot path is zero-decode: existence is proven by the engine's
-    /// validated-bytes tier (magic + version + checksum, no field parse),
-    /// the run key doubles as a strong `ETag` (it is a content address
-    /// and [`report_json`] is deterministic), and a warm repeat serves
-    /// the memoized rendered body — or, with a matching `If-None-Match`,
-    /// an empty `304 Not Modified`. Only the first `GET` after a cold
-    /// start pays the record decode.
-    fn run_report(&self, req: &Request, key: &str) -> Response {
-        let parsed = RunKey::from_hex(key).expect("validated by run_resource");
-        let hex = parsed.hex();
-        if self.engine.cached_bytes(parsed).is_none() {
-            return fail(req, 404, "not_found", "no cached report for that run key");
-        }
-        let etag = format!("\"{hex}\"");
-        if if_none_match(req, &etag) {
-            return Response {
-                status: 304,
-                headers: Vec::new(),
-                body: Vec::new(),
-                chunked: false,
-                stream: None,
-            }
-            .with_header("X-Run-Key", &hex)
-            .with_header("ETag", &etag);
-        }
-        let memoized = self.report_bodies.lock().unwrap().get(&parsed.0).cloned();
-        let body = match memoized {
-            Some(body) => body,
-            None => {
-                let Some(report) = self.engine.cached(parsed) else {
-                    return fail(req, 404, "not_found", "no cached report for that run key");
-                };
-                let body = Arc::new(report_json(&report).dump().into_bytes());
-                let mut memo = self.report_bodies.lock().unwrap();
-                if memo.len() >= MAX_MEMOIZED_BODIES {
-                    memo.clear();
-                }
-                memo.insert(parsed.0, Arc::clone(&body));
-                body
-            }
-        };
-        Response {
-            status: 200,
-            headers: vec![("Content-Type".into(), "application/json".into())],
-            body: body.as_ref().clone(),
-            chunked: false,
-            stream: None,
-        }
-        .with_header("X-Run-Key", &hex)
-        .with_header("ETag", &etag)
-    }
-
     /// Dispatches `/v1/sweeps/{key}` and its sub-resources: the bare key
     /// answers an async job's status, `/records` streams its journaled
-    /// NDJSON records, and `/trace` the engine's retained Chrome trace
+    /// NDJSON records, and `/trace` the backend's retained Chrome trace
     /// (under the sweep key the `X-Sweep-Key` response header reported).
     fn sweep_resource(&self, req: &Request, rest: &str) -> Response {
         let (key, sub) = split_resource(rest);
@@ -548,31 +459,21 @@ impl Api {
                 &format!("sweep key must be 32 hex characters, got {key:?}"),
             );
         }
-        match sub {
-            Some("trace") => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                self.run_trace(req, key)
-            }
-            Some("records") => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                self.sweep_records(req, key)
-            }
-            None => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                self.sweep_status(req, key)
-            }
-            _ => fail(
+        if !matches!(sub, None | Some("trace" | "records")) {
+            return fail(
                 req,
                 404,
                 "not_found",
                 "no such sweep sub-resource (try /trace or /records)",
-            ),
+            );
+        }
+        if req.method != "GET" {
+            return method_not_allowed(req, "GET");
+        }
+        match sub {
+            Some("trace") => self.backend.sweep_trace(req, parsed_key(key)),
+            Some(_) => self.sweep_records(req, key),
+            None => self.sweep_status(req, key),
         }
     }
 
@@ -657,11 +558,7 @@ impl Api {
 /// A status body reconstructed from a journal segment alone, for keys no
 /// live registry entry covers (a previous process journaled them). `None`
 /// when the segment's intent is unreadable or of a different kind.
-pub fn journal_status_json(
-    key: &str,
-    kind: &str,
-    replay: &heteropipe_engine::Replay,
-) -> Option<Json> {
+fn journal_status_json(key: &str, kind: &str, replay: &heteropipe_engine::Replay) -> Option<Json> {
     let (ikind, payload) = jobs::parse_intent(&replay.intent)?;
     if ikind != kind {
         return None;
@@ -702,10 +599,9 @@ pub fn journal_status_json(
     Some(Json::Obj(fields))
 }
 
-/// `GET /v1/debug/profile`: a JSON snapshot of the always-on phase
-/// profiler, heaviest phase first (see docs/observability.md). The
-/// cluster coordinator serves the same route from its own process.
-pub fn profile_snapshot() -> Response {
+/// `GET /v1/debug/profile`: a JSON snapshot of this process's always-on
+/// phase profiler, heaviest phase first (see docs/observability.md).
+fn profile_snapshot() -> Response {
     Response {
         status: 200,
         headers: vec![("Content-Type".into(), "application/json".into())],
@@ -719,7 +615,7 @@ pub fn profile_snapshot() -> Response {
 /// of the JSON default: `?format=prometheus` wins, `?format=json` forces
 /// JSON, otherwise an `Accept` header preferring `text/plain` (or an
 /// OpenMetrics type) selects Prometheus.
-pub fn wants_prometheus(req: &Request) -> bool {
+fn wants_prometheus(req: &Request) -> bool {
     for kv in req.query.split('&') {
         match kv {
             "format=prometheus" => return true,
@@ -742,136 +638,14 @@ impl Api {
     }
 
     /// Prometheus text exposition of the same counters `/metrics` reports
-    /// as JSON, built fresh per scrape from the engine and server state.
+    /// as JSON, built fresh per scrape: the backend's own families first,
+    /// then the journal, admission, fault, server and profiler families
+    /// every deployment shares.
     fn metrics_prometheus(&self) -> Response {
+        use std::sync::atomic::Ordering::Relaxed;
         let r = MetricRegistry::new();
-        let e = self.engine.metrics();
+        self.backend.metrics_prometheus(&r);
         let set = |name: &str, help: &str, v: u64| r.counter(name, help).set(v);
-        set(
-            "heteropipe_engine_jobs_executed_total",
-            "Jobs actually simulated (cache misses and uncached runs).",
-            e.jobs_executed,
-        );
-        for (tier, v) in [("memory", e.memory_hits), ("disk", e.disk_hits)] {
-            r.counter_with(
-                "heteropipe_engine_cache_hits_total",
-                "Cache hits by tier.",
-                &[("tier", tier)],
-            )
-            .set(v);
-        }
-        set(
-            "heteropipe_engine_cache_misses_total",
-            "Cache lookups that found nothing.",
-            e.misses,
-        );
-        set(
-            "heteropipe_engine_job_failures_total",
-            "Jobs that panicked inside a batch.",
-            e.failures,
-        );
-        set(
-            "heteropipe_engine_simulated_picoseconds_total",
-            "Total simulated time across executed jobs.",
-            e.simulated_ps,
-        );
-        set(
-            "heteropipe_engine_wall_nanoseconds_total",
-            "Total wall-clock time spent simulating.",
-            e.wall_ns,
-        );
-        set(
-            "heteropipe_engine_sweeps_total",
-            "Sweeps executed through the batch pipeline.",
-            e.sweeps,
-        );
-        set(
-            "heteropipe_engine_sweep_jobs_total",
-            "Entries submitted across all sweeps.",
-            e.sweep_jobs,
-        );
-        set(
-            "heteropipe_engine_sweep_deduped_total",
-            "Sweep entries deduplicated onto an in-batch leader.",
-            e.sweep_deduped,
-        );
-        set(
-            "heteropipe_engine_flights_coalesced_total",
-            "Jobs coalesced onto a concurrent identical execution.",
-            e.flights_coalesced,
-        );
-        r.gauge(
-            "heteropipe_engine_traces_retained",
-            "Job traces currently held by the trace store.",
-        )
-        .set(self.engine.traces().len() as f64);
-
-        // Workflow counters (docs/workflows.md): graphs executed through
-        // the DAG runner and their per-stage memoization activity.
-        let f = self.flow.metrics();
-        set(
-            "heteropipe_workflows_total",
-            "Workflows executed through the DAG runner.",
-            f.workflows,
-        );
-        set(
-            "heteropipe_workflow_stages_total",
-            "Stage slots processed across all workflows.",
-            f.stages,
-        );
-        set(
-            "heteropipe_workflow_stage_cache_hits_total",
-            "Workflow stages served from the stage memo without executing.",
-            f.stage_cache_hits,
-        );
-        set(
-            "heteropipe_workflow_stage_failures_total",
-            "Workflow stages whose body failed.",
-            f.stage_failures,
-        );
-
-        // Resilience counters (docs/robustness.md): retries, quarantines,
-        // watchdog overruns, and cache self-healing activity.
-        set(
-            "heteropipe_engine_exec_retries_total",
-            "Execution attempts retried after a panic.",
-            e.exec_retries,
-        );
-        set(
-            "heteropipe_engine_jobs_quarantined_total",
-            "Jobs quarantined after exhausting their retry budget.",
-            e.jobs_quarantined,
-        );
-        set(
-            "heteropipe_engine_watchdog_fired_total",
-            "Jobs whose execution overran the watchdog deadline.",
-            e.watchdog_fired,
-        );
-        set(
-            "heteropipe_cache_tmp_swept_total",
-            "Stale cache temp files swept at open.",
-            e.cache.tmp_swept,
-        );
-        set(
-            "heteropipe_cache_records_quarantined_total",
-            "Corrupt cache records moved to quarantine.",
-            e.cache.records_quarantined,
-        );
-        set(
-            "heteropipe_cache_read_errors_total",
-            "Cache disk reads failed with an I/O error (served as misses).",
-            e.cache.read_errors,
-        );
-        set(
-            "heteropipe_cache_persist_retries_total",
-            "Cache persist attempts retried after a transient failure.",
-            e.cache.persist_retries,
-        );
-        set(
-            "heteropipe_cache_persist_failures_total",
-            "Cache persists abandoned after the retry budget.",
-            e.cache.persist_failures,
-        );
 
         // Durability counters (docs/robustness.md): write-ahead journal
         // activity plus the admission layer's refusals.
@@ -906,7 +680,7 @@ impl Api {
         set(
             "heteropipe_deadline_exceeded_total",
             "Requests refused because their X-Deadline-Ms budget was exhausted.",
-            self.deadline_exceeded.load(Ordering::Relaxed),
+            self.deadline_exceeded.load(Relaxed),
         );
         if let Some(gate) = self.tenants.get() {
             for t in gate.counts() {
@@ -925,12 +699,12 @@ impl Api {
             }
         }
 
-        // Injected-fault tallies per (site, kind), from the engine's
+        // Injected-fault tallies per (site, kind), from the backend's
         // injector plus the server's (skipped when they are one shared
-        // injector, as a chaos run configures).
-        let mut fault_counts = self.engine.faults().counts();
+        // injector, as a chaos run or the coordinator binary configures).
+        let mut fault_counts = self.backend.faults().counts();
         if let Some(sf) = self.server_faults.get() {
-            if !std::ptr::eq(self.engine.faults(), Arc::as_ptr(sf)) {
+            if !std::ptr::eq(self.backend.faults(), Arc::as_ptr(sf)) {
                 fault_counts.extend(sf.counts());
             }
         }
@@ -962,7 +736,6 @@ impl Api {
         }
 
         if let Some(s) = self.stats.get() {
-            use std::sync::atomic::Ordering::Relaxed;
             set(
                 "heteropipe_server_requests_total",
                 "Requests fully parsed and dispatched to the handler.",
@@ -983,11 +756,7 @@ impl Api {
                 "Requests currently inside the handler.",
             )
             .set(s.in_flight.load(Relaxed) as f64);
-            for (class, v) in [
-                ("2xx", s.status_2xx.load(Relaxed)),
-                ("4xx", s.status_4xx.load(Relaxed)),
-                ("5xx", s.status_5xx.load(Relaxed)),
-            ] {
+            for (class, v) in s.status_classes() {
                 r.counter_with(
                     "heteropipe_server_responses_total",
                     "Responses sent, by status class.",
@@ -1003,8 +772,9 @@ impl Api {
         }
 
         // Always-on phase profiler (docs/observability.md): wall time
-        // attributed to named hot-path phases in the sim event loop, the
-        // engine execute path, and the workflow runner.
+        // attributed to named hot-path phases of this process — the sim
+        // event loop, the engine execute path, the workflow runner, and
+        // a coordinator's cluster seams.
         for p in heteropipe_obs::profile::snapshot() {
             r.counter_with(
                 "heteropipe_profile_phase_total_nanoseconds",
@@ -1032,70 +802,12 @@ impl Api {
         }
     }
 
-    /// `GET /v1/runs/{key}/trace`: the Chrome-trace timeline retained for
-    /// a run (or sweep) key. The key is validated by [`Api::run_resource`]
-    /// before this is reached.
-    fn run_trace(&self, req: &Request, key: &str) -> Response {
-        match self.engine.traces().render(&key.to_ascii_lowercase()) {
-            Some(json) => Response {
-                status: 200,
-                headers: vec![("Content-Type".into(), "application/json".into())],
-                body: json.into_bytes(),
-                chunked: false,
-                stream: None,
-            },
-            None => fail(req, 404, "not_found", "no trace retained for that run key"),
-        }
-    }
-
+    /// The JSON `/metrics` body: the backend's own sections first, then
+    /// the sections every deployment shares.
     fn metrics_json(&self) -> Response {
-        let e = self.engine.metrics();
-        let engine = Json::Obj(vec![
-            ("jobs_total".into(), Json::U64(e.jobs_total())),
-            ("jobs_executed".into(), Json::U64(e.jobs_executed)),
-            ("memory_hits".into(), Json::U64(e.memory_hits)),
-            ("disk_hits".into(), Json::U64(e.disk_hits)),
-            ("misses".into(), Json::U64(e.misses)),
-            ("failures".into(), Json::U64(e.failures)),
-            ("hit_rate".into(), Json::F64(e.hit_rate())),
-            ("simulated_ps".into(), Json::U64(e.simulated_ps)),
-            ("wall_ns".into(), Json::U64(e.wall_ns)),
-            (
-                "sweeps".into(),
-                Json::Obj(vec![
-                    ("count".into(), Json::U64(e.sweeps)),
-                    ("jobs".into(), Json::U64(e.sweep_jobs)),
-                    ("deduped".into(), Json::U64(e.sweep_deduped)),
-                    ("flights_coalesced".into(), Json::U64(e.flights_coalesced)),
-                ]),
-            ),
-            (
-                "resilience".into(),
-                Json::Obj(vec![
-                    ("exec_retries".into(), Json::U64(e.exec_retries)),
-                    ("jobs_quarantined".into(), Json::U64(e.jobs_quarantined)),
-                    ("watchdog_fired".into(), Json::U64(e.watchdog_fired)),
-                    ("cache_tmp_swept".into(), Json::U64(e.cache.tmp_swept)),
-                    (
-                        "cache_records_quarantined".into(),
-                        Json::U64(e.cache.records_quarantined),
-                    ),
-                    ("cache_read_errors".into(), Json::U64(e.cache.read_errors)),
-                    (
-                        "cache_persist_retries".into(),
-                        Json::U64(e.cache.persist_retries),
-                    ),
-                    (
-                        "cache_persist_failures".into(),
-                        Json::U64(e.cache.persist_failures),
-                    ),
-                ]),
-            ),
-        ]);
-
+        use std::sync::atomic::Ordering::Relaxed;
         let server = match self.stats.get() {
             Some(s) => {
-                use std::sync::atomic::Ordering::Relaxed;
                 let lat = s.latency_us.lock().unwrap();
                 let breaker = match self.breaker.get() {
                     Some(b) => Json::Obj(vec![
@@ -1105,20 +817,18 @@ impl Api {
                     ]),
                     None => Json::Null,
                 };
+                let responses = s
+                    .status_classes()
+                    .into_iter()
+                    .map(|(class, v)| (class.to_string(), Json::U64(v)))
+                    .collect();
                 Json::Obj(vec![
                     ("requests".into(), Json::U64(s.requests.load(Relaxed))),
                     ("in_flight".into(), Json::U64(s.in_flight.load(Relaxed))),
                     ("rejected_503".into(), Json::U64(s.rejected.load(Relaxed))),
                     ("shed_503".into(), Json::U64(s.shed.load(Relaxed))),
                     ("breaker".into(), breaker),
-                    (
-                        "responses".into(),
-                        Json::Obj(vec![
-                            ("2xx".into(), Json::U64(s.status_2xx.load(Relaxed))),
-                            ("4xx".into(), Json::U64(s.status_4xx.load(Relaxed))),
-                            ("5xx".into(), Json::U64(s.status_5xx.load(Relaxed))),
-                        ]),
-                    ),
+                    ("responses".into(), Json::Obj(responses)),
                     (
                         "latency_us".into(),
                         Json::Obj(vec![
@@ -1133,14 +843,6 @@ impl Api {
             }
             None => Json::Null,
         };
-
-        let f = self.flow.metrics();
-        let workflows = Json::Obj(vec![
-            ("count".into(), Json::U64(f.workflows)),
-            ("stages".into(), Json::U64(f.stages)),
-            ("stage_cache_hits".into(), Json::U64(f.stage_cache_hits)),
-            ("stage_failures".into(), Json::U64(f.stage_failures)),
-        ]);
 
         let profile = Json::Arr(
             heteropipe_obs::profile::snapshot()
@@ -1193,21 +895,18 @@ impl Api {
                 .collect(),
         );
 
-        Response::json(
-            200,
-            &Json::Obj(vec![
-                ("engine".into(), engine),
-                ("workflows".into(), workflows),
-                ("journal".into(), journal),
-                ("tenants".into(), tenants),
-                (
-                    "deadline_exceeded".into(),
-                    Json::U64(self.deadline_exceeded.load(Ordering::Relaxed)),
-                ),
-                ("server".into(), server),
-                ("profile".into(), profile),
-            ]),
-        )
+        let mut sections = self.backend.metrics_json();
+        sections.extend([
+            ("journal".into(), journal),
+            ("tenants".into(), tenants),
+            (
+                "deadline_exceeded".into(),
+                Json::U64(self.deadline_exceeded.load(Relaxed)),
+            ),
+            ("server".into(), server),
+            ("profile".into(), profile),
+        ]);
+        Response::json(200, &Json::Obj(sections))
     }
 
     fn run(&self, req: &Request) -> Response {
@@ -1218,34 +917,16 @@ impl Api {
             Ok(job) => job,
             Err(e) => return fail(req, e.status, e.code, &e.message),
         };
-        let spec = job.spec();
-        let key = run_key(&spec);
-        let request_id = (!req.request_id.is_empty()).then_some(req.request_id.as_str());
-        match self.engine.try_execute_observed(&spec, request_id) {
-            Ok(report) => {
-                Response::json(200, &report_json(&report)).with_header("X-Run-Key", &key.hex())
-            }
-            // A quarantined job will stay broken until an operator looks
-            // at it: 503 + Retry-After tells well-behaved clients to back
-            // off rather than hammer a poisoned key.
-            Err(e @ EngineError::Quarantined { .. }) => envelope(
-                503,
-                "quarantined",
-                &e.to_string(),
-                Some(30),
-                &req.request_id,
-            )
-            .with_header("X-Run-Key", &key.hex()),
-            Err(e) => {
-                fail(req, 500, "internal", &e.to_string()).with_header("X-Run-Key", &key.hex())
-            }
-        }
+        let key = run_key(&job.spec());
+        self.backend
+            .run(req, &job, key, Deadline::from_request(req))
     }
 
-    /// `POST /v1/sweeps`: executes a whole batch through the engine's
-    /// dedup + single-flight sweep pipeline, streaming one NDJSON record
-    /// per entry the moment it completes (completion order — each record
-    /// carries its request index and run key) and a final summary line.
+    /// `POST /v1/sweeps`: executes a whole batch through the backend,
+    /// streaming one NDJSON record per entry (each carries its request
+    /// index and run key) and a final summary line. A streaming backend
+    /// sends each record the moment it completes; otherwise the batch
+    /// resolves first, so a deadline abort is still a clean envelope.
     /// The response carries the sweep's content address in `X-Sweep-Key`.
     fn sweeps(&self, req: &Request) -> Response {
         let Some(body) = parse_body(req) else {
@@ -1269,52 +950,131 @@ impl Api {
                 ),
             );
         }
-        let mut owned = Vec::with_capacity(entries.len());
-        for (i, entry) in entries.iter().enumerate() {
-            match parse_job_spec(entry) {
-                Ok(job) => owned.push(job),
-                Err(e) => return fail(req, e.status, e.code, &format!("jobs[{i}]: {}", e.message)),
-            }
-        }
-        let keys: Vec<RunKey> = owned.iter().map(|o| run_key(&o.spec())).collect();
-        let sweep_hex = sweep_key(&keys).hex();
-
+        let batch = match Batch::parse(entries) {
+            Ok(batch) => batch,
+            Err(e) => return fail(req, e.status, e.code, &e.message),
+        };
         if wants_async(req) {
-            return self.sweep_async(req, &entries, owned, sweep_hex);
+            return self.sweep_async(req, batch);
         }
 
-        let engine = Arc::clone(&self.engine);
-        let request_id = req.request_id.clone();
-        let stream = BodyStream::new(move |sink| {
-            let specs: Vec<JobSpec<'_>> = owned.iter().map(OwnedJobSpec::spec).collect();
-            // The engine calls the sink from its worker threads; the
-            // chunk writer is the one shared side effect to serialize.
-            let out = Mutex::new(sink);
-            let broken = AtomicBool::new(false);
-            let rid = (!request_id.is_empty()).then_some(request_id.as_str());
-            let outcome = engine.execute_sweep_observed(&specs, rid, &|rec| {
+        let sweep_hex = batch.key_hex.clone();
+        let rid = (!req.request_id.is_empty()).then(|| req.request_id.clone());
+        let deadline = Deadline::from_request(req);
+        let stream = if self.backend.streams_records() {
+            let backend = Arc::clone(&self.backend);
+            BodyStream::new(move |sink| {
+                // The backend calls the sink from its worker threads; the
+                // chunk writer is the one shared side effect to serialize.
+                let out = Mutex::new(sink);
+                let broken = AtomicBool::new(false);
+                let summary = backend.sweep(&batch, rid.as_deref(), deadline, &|_, line, _| {
+                    if broken.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    if out
+                        .lock()
+                        .unwrap()
+                        .send(format!("{line}\n").as_bytes())
+                        .is_err()
+                    {
+                        // The peer went away mid-stream. Keep executing
+                        // (the cache still warms for the retry) but stop
+                        // writing.
+                        broken.store(true, Ordering::Relaxed);
+                    }
+                });
                 if broken.load(Ordering::Relaxed) {
-                    return;
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::BrokenPipe,
+                        "sweep stream peer went away",
+                    ));
                 }
-                let line = format!("{}\n", sweep_record_json(rec).dump());
-                if out.lock().unwrap().send(line.as_bytes()).is_err() {
-                    // The peer went away mid-stream. Keep executing (the
-                    // cache still warms for the retry) but stop writing.
-                    broken.store(true, Ordering::Relaxed);
+                let summary = summary.map_err(|e| std::io::Error::other(e.message))?;
+                let mut w = out.lock().unwrap();
+                w.send(format!("{}\n", summary.dump()).as_bytes())
+            })
+        } else {
+            let lines = Mutex::new(Vec::with_capacity(batch.entries.len()));
+            let summary = self
+                .backend
+                .sweep(&batch, rid.as_deref(), deadline, &|_, line, _| {
+                    lines.lock().unwrap().push(format!("{line}\n"));
+                });
+            let summary = match summary {
+                Ok(summary) => summary,
+                Err(e) => {
+                    let retry = (e.status == 504).then_some(1);
+                    return envelope(e.status, e.code, &e.message, retry, &req.request_id);
                 }
-            });
-            if broken.load(Ordering::Relaxed) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "sweep stream peer went away",
-                ));
-            }
-            let line = format!("{}\n", sweep_summary_json(&outcome).dump());
-            let mut w = out.lock().unwrap();
-            w.send(line.as_bytes())
-        });
+            };
+            let lines = lines.into_inner().unwrap();
+            BodyStream::new(move |sink| {
+                for line in &lines {
+                    sink.send(line.as_bytes())?;
+                }
+                sink.send(format!("{}\n", summary.dump()).as_bytes())
+            })
+        };
         Response::streaming(200, "application/x-ndjson", stream)
             .with_header("X-Sweep-Key", &sweep_hex)
+    }
+
+    /// Registers an async job under `key` unless one is already running
+    /// or a sealed journal segment shows it complete. `Ok` carries the
+    /// fresh job to drive; `Err` the response to answer instead (the
+    /// idempotent 202 for a known job, or a journal refusal).
+    fn register_async(
+        &self,
+        req: &Request,
+        kind: &'static str,
+        key: &str,
+        total: u64,
+        intent: &str,
+    ) -> Result<(Arc<Journal>, Arc<AsyncJob>), Response> {
+        let key_header = if kind == "sweep" {
+            "X-Sweep-Key"
+        } else {
+            "X-Workflow-Key"
+        };
+        let Some(journal) = self.journal.get() else {
+            return Err(envelope(
+                503,
+                "async_unavailable",
+                &format!(
+                    "async {kind}s need a write-ahead journal; start the server with one (--journal-dir)"
+                ),
+                None,
+                &req.request_id,
+            ));
+        };
+        // A sealed segment from an earlier run means the job is already
+        // complete: adopt it instead of re-executing.
+        let sealed = matches!(journal.replay(key), Ok(Some(r)) if r.done);
+        let (state, done) = if sealed {
+            (JobState::Done, total)
+        } else {
+            (JobState::Running, 0)
+        };
+        let (job, fresh) = self.async_jobs.register(key, kind, total, state, done);
+        if !fresh || sealed {
+            return Err(
+                Response::json(202, &jobs::status_json(key, &job)).with_header(key_header, key)
+            );
+        }
+        // Write-ahead: the full job description hits the journal before
+        // any execution, so a crash at any later point is resumable.
+        if let Err(e) = journal.begin(key, intent) {
+            job.fail(format!("journal intent write failed: {e}"));
+            return Err(envelope(
+                503,
+                "journal_unavailable",
+                &format!("could not journal {kind} intent: {e}"),
+                Some(1),
+                &req.request_id,
+            ));
+        }
+        Ok((Arc::clone(journal), job))
     }
 
     /// `POST /v1/sweeps?async=1`: accepts the (already validated) sweep,
@@ -1324,95 +1084,34 @@ impl Api {
     /// reports progress and `GET /v1/sweeps/{key}/records` streams the
     /// journaled NDJSON. Resubmitting the same sweep while it runs (or
     /// after it finishes) is idempotent: same key, same 202.
-    fn sweep_async(
-        &self,
-        req: &Request,
-        entries: &[Json],
-        owned: Vec<OwnedJobSpec>,
-        sweep_hex: String,
-    ) -> Response {
-        let Some(journal) = self.journal.get() else {
-            return envelope(
-                503,
-                "async_unavailable",
-                "async sweeps need a write-ahead journal; start the server with one (serve --journal-dir)",
-                None,
-                &req.request_id,
-            );
+    fn sweep_async(&self, req: &Request, batch: Batch) -> Response {
+        let key = batch.key_hex.clone();
+        let total = batch.entries.len() as u64;
+        let intent = jobs::sweep_intent(&batch.entries);
+        let (journal, job) = match self.register_async(req, "sweep", &key, total, &intent) {
+            Ok(fresh) => fresh,
+            Err(resp) => return resp,
         };
-        let total = owned.len() as u64;
-        // A sealed segment from an earlier run means the job is already
-        // complete: adopt it instead of re-executing.
-        let sealed = matches!(journal.replay(&sweep_hex), Ok(Some(r)) if r.done);
-        let state = if sealed {
-            JobState::Done
-        } else {
-            JobState::Running
-        };
-        let done = if sealed { total } else { 0 };
-        let (job, fresh) = self
-            .async_jobs
-            .register(&sweep_hex, "sweep", total, state, done);
-        if !fresh || sealed {
-            return Response::json(202, &jobs::status_json(&sweep_hex, &job))
-                .with_header("X-Sweep-Key", &sweep_hex);
-        }
-        // Write-ahead: the full expanded job list hits the journal before
-        // any execution, so a crash at any later point is resumable.
-        if let Err(e) = journal.begin(&sweep_hex, &jobs::sweep_intent(entries)) {
-            job.fail(format!("journal intent write failed: {e}"));
-            return envelope(
-                503,
-                "journal_unavailable",
-                &format!("could not journal sweep intent: {e}"),
-                Some(1),
-                &req.request_id,
-            );
-        }
         let rid = (!req.request_id.is_empty()).then(|| req.request_id.clone());
-        self.spawn_sweep_driver(
-            Arc::clone(journal),
-            job,
-            owned,
-            sweep_hex.clone(),
-            rid,
-            HashSet::new(),
-            false,
-        );
-        Response::json(
-            202,
-            &jobs::accepted_json(
-                &sweep_hex,
-                "sweep",
-                &format!("/v1/sweeps/{sweep_hex}"),
-                total,
-            ),
-        )
-        .with_header("X-Sweep-Key", &sweep_hex)
-    }
-
-    /// Spawns the background thread that executes an async sweep and
-    /// journals its records. `already` holds the record indexes a prior
-    /// process journaled (resume skips re-appending them — the cache makes
-    /// re-execution itself nearly free); `recovered` marks a crash-resume
-    /// so completion counts toward `heteropipe_journal_recovered_total`.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_sweep_driver(
-        &self,
-        journal: Arc<Journal>,
-        job: Arc<AsyncJob>,
-        owned: Vec<OwnedJobSpec>,
-        key_hex: String,
-        request_id: Option<String>,
-        already: HashSet<u64>,
-        recovered: bool,
-    ) {
-        let engine = Arc::clone(&self.engine);
+        let backend = Arc::clone(&self.backend);
+        let driven = key.clone();
         std::thread::spawn(move || {
             drive_sweep(
-                &engine, &journal, &job, &owned, &key_hex, request_id, &already, recovered,
+                &*backend,
+                &journal,
+                &job,
+                &batch,
+                &driven,
+                rid.as_deref(),
+                &HashSet::new(),
+                false,
             );
         });
+        Response::json(
+            202,
+            &jobs::accepted_json(&key, "sweep", &format!("/v1/sweeps/{key}"), total),
+        )
+        .with_header("X-Sweep-Key", &key)
     }
 
     /// `POST /v1/workflows?async=1`: accepts the validated graph, journals
@@ -1427,44 +1126,16 @@ impl Api {
         graph: TaskGraph,
         wkey: String,
     ) -> Response {
-        let Some(journal) = self.journal.get() else {
-            return envelope(
-                503,
-                "async_unavailable",
-                "async workflows need a write-ahead journal; start the server with one (serve --journal-dir)",
-                None,
-                &req.request_id,
-            );
-        };
         // Stage events plus the trailing result record.
         let total = graph.len() as u64 + 1;
-        let sealed = matches!(journal.replay(&wkey), Ok(Some(r)) if r.done);
-        let state = if sealed {
-            JobState::Done
-        } else {
-            JobState::Running
+        let intent = jobs::workflow_intent(body);
+        let (journal, job) = match self.register_async(req, "workflow", &wkey, total, &intent) {
+            Ok(fresh) => fresh,
+            Err(resp) => return resp,
         };
-        let done = if sealed { total } else { 0 };
-        let (job, fresh) = self
-            .async_jobs
-            .register(&wkey, "workflow", total, state, done);
-        if !fresh || sealed {
-            return Response::json(202, &jobs::status_json(&wkey, &job))
-                .with_header("X-Workflow-Key", &wkey);
-        }
-        if let Err(e) = journal.begin(&wkey, &jobs::workflow_intent(body)) {
-            job.fail(format!("journal intent write failed: {e}"));
-            return envelope(
-                503,
-                "journal_unavailable",
-                &format!("could not journal workflow intent: {e}"),
-                Some(1),
-                &req.request_id,
-            );
-        }
         let rid = (!req.request_id.is_empty()).then(|| req.request_id.clone());
         self.spawn_workflow_driver(
-            Arc::clone(journal),
+            journal,
             job,
             graph,
             wkey.clone(),
@@ -1479,8 +1150,11 @@ impl Api {
         .with_header("X-Workflow-Key", &wkey)
     }
 
-    /// Spawns the background thread driving an async workflow (see
-    /// [`Api::spawn_sweep_driver`] for the `already`/`recovered` contract).
+    /// Spawns the background thread driving an async workflow. `already`
+    /// holds the record indexes a prior process journaled (resume skips
+    /// re-appending them — the caches make re-execution itself nearly
+    /// free); `recovered` marks a crash-resume so completion counts
+    /// toward `heteropipe_journal_recovered_total`.
     #[allow(clippy::too_many_arguments)]
     fn spawn_workflow_driver(
         &self,
@@ -1492,7 +1166,7 @@ impl Api {
         already: HashSet<u64>,
         recovered: bool,
     ) {
-        let flow = Arc::clone(&self.flow);
+        let flow = Arc::clone(self.backend.flow());
         std::thread::spawn(move || {
             drive_workflow(
                 &flow, &journal, &job, &graph, &key_hex, request_id, &already, recovered,
@@ -1502,10 +1176,11 @@ impl Api {
 
     /// Replays the journal at startup: every segment with an intent but no
     /// seal is re-registered and driven to completion on background
-    /// threads. The result cache turns already-persisted jobs into hits,
-    /// so only the missing tail actually re-executes, and the journaled
+    /// threads. The result caches (the engine's, or the workers' disks
+    /// behind a coordinator) turn already-persisted jobs into hits, so
+    /// only the missing tail actually re-executes, and the journaled
     /// records end up identical to an uninterrupted run's.
-    pub fn resume_incomplete(&self) {
+    fn resume_incomplete(&self) {
         let Some(journal) = self.journal.get() else {
             return;
         };
@@ -1537,31 +1212,21 @@ impl Api {
         replay: &heteropipe_engine::Replay,
     ) {
         let entries = payload.as_array().map(<[Json]>::to_vec).unwrap_or_default();
-        let mut owned = Vec::with_capacity(entries.len());
-        for entry in &entries {
-            match parse_job_spec(entry) {
-                Ok(job) => owned.push(job),
-                Err(e) => {
-                    let (job, _) = self.async_jobs.register(
-                        key,
-                        "sweep",
-                        entries.len() as u64,
-                        JobState::Failed,
-                        0,
-                    );
-                    job.fail(format!("journaled intent no longer parses: {}", e.message));
-                    return;
-                }
+        let total = entries.len() as u64;
+        let batch = match Batch::parse(entries) {
+            Ok(batch) => batch,
+            Err(e) => {
+                let (job, _) = self
+                    .async_jobs
+                    .register(key, "sweep", total, JobState::Failed, 0);
+                job.fail(format!("journaled intent no longer parses: {}", e.message));
+                return;
             }
-        }
+        };
         let already = replay.indexes();
-        let (job, fresh) = self.async_jobs.register(
-            key,
-            "sweep",
-            owned.len() as u64,
-            JobState::Running,
-            already.len() as u64,
-        );
+        let (job, fresh) =
+            self.async_jobs
+                .register(key, "sweep", total, JobState::Running, already.len() as u64);
         if !fresh {
             return;
         }
@@ -1570,19 +1235,24 @@ impl Api {
             "resuming interrupted async sweep from journal",
             &[
                 ("key", key.to_string().into()),
-                ("jobs_total", (owned.len() as u64).into()),
+                ("jobs_total", total.into()),
                 ("records_journaled", (already.len() as u64).into()),
             ],
         );
-        self.spawn_sweep_driver(
-            Arc::clone(journal),
-            job,
-            owned,
-            key.to_string(),
-            None,
-            already,
-            true,
-        );
+        let (backend, journal) = (Arc::clone(&self.backend), Arc::clone(journal));
+        let (key, rid) = (key.to_string(), format!("resume-{key}"));
+        std::thread::spawn(move || {
+            drive_sweep(
+                &*backend,
+                &journal,
+                &job,
+                &batch,
+                &key,
+                Some(&rid),
+                &already,
+                true,
+            );
+        });
     }
 
     fn resume_workflow(
@@ -1592,7 +1262,8 @@ impl Api {
         payload: &Json,
         replay: &heteropipe_engine::Replay,
     ) {
-        let graph = match workflow_graph(payload) {
+        let rid = format!("resume-{key}");
+        let graph = match self.workflow_graph(payload, Some(&rid), Deadline::none()) {
             Ok(graph) => graph,
             Err(e) => {
                 let (job, _) = self
@@ -1627,7 +1298,7 @@ impl Api {
             job,
             graph,
             key.to_string(),
-            None,
+            Some(rid),
             already,
             true,
         );
@@ -1638,33 +1309,45 @@ impl Api {
     /// stages with dependency edges — streaming one NDJSON stage-completion
     /// event per stage and a trailing summary line. The response carries
     /// the graph's content address in `X-Workflow-Key`; feeding it back to
-    /// `GET /v1/workflows/{key}` returns the journaled result.
+    /// `GET /v1/workflows/{key}` returns the journaled result. A backend
+    /// may answer a built-in graph elsewhere (a coordinator proxies it to
+    /// the worker owning its key).
     fn workflows(&self, req: &Request) -> Response {
         let Some(body) = parse_body(req) else {
             return fail(req, 400, "bad_request", "body must be a JSON object");
         };
-        let graph = match workflow_graph(&body) {
+        // An async graph runs in the background with no deadline (the 202
+        // returns immediately). A sync graph inherits the request budget
+        // as an absolute deadline the DAG runner checks between levels
+        // (stages whose level starts past it fail with a deadline error
+        // and their dependents cascade-skip); stage sweeps carry it too.
+        let is_async = wants_async(req);
+        let deadline = if is_async {
+            Deadline::none()
+        } else {
+            Deadline::from_request(req)
+        };
+        let rid = (!req.request_id.is_empty()).then_some(req.request_id.as_str());
+        let graph = match self.workflow_graph(&body, rid, deadline) {
             Ok(graph) => graph,
             Err(e) => return fail(req, e.status, e.code, &e.message),
         };
         // Full validation (duplicates, unknown edges, cycles) up front, so
         // a bad graph is a clean 400 envelope instead of a broken stream.
         let wkey = match graph.workflow_key() {
-            Ok(key) => key.hex(),
+            Ok(key) => key,
             Err(e) => return fail(req, 400, "bad_request", &format!("invalid workflow: {e}")),
         };
-        if wants_async(req) {
+        if body.get("workflow").is_some() {
+            if let Some(resp) = self.backend.builtin_workflow(req, wkey) {
+                return resp;
+            }
+        }
+        let wkey = wkey.hex();
+        if is_async {
             return self.workflow_async(req, &body, graph, wkey);
         }
-        // An `X-Deadline-Ms` budget (already vetted by admission) becomes
-        // an absolute deadline the DAG runner checks between levels:
-        // stages whose level starts past it fail with a deadline error
-        // and their dependents cascade-skip.
-        let deadline = deadline_ms(req)
-            .ok()
-            .flatten()
-            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-        let flow = Arc::clone(&self.flow);
+        let flow = Arc::clone(self.backend.flow());
         let request_id = req.request_id.clone();
         let stream = BodyStream::new(move |sink| {
             // The runner calls the sink from its worker threads; the chunk
@@ -1687,7 +1370,7 @@ impl Api {
                         broken.store(true, Ordering::Relaxed);
                     }
                 },
-                deadline,
+                deadline.instant(),
             );
             let result = result.expect("graph validated before streaming");
             if broken.load(Ordering::Relaxed) {
@@ -1706,7 +1389,9 @@ impl Api {
 
     /// `GET /v1/workflows/{key}`: the journaled result of a previously
     /// executed workflow — summary, per-stage events, and the rendered
-    /// text of every declared output stage.
+    /// text of every declared output stage. Keys this process never ran
+    /// fall through to the backend (a coordinator asks the key's owner,
+    /// where built-in graphs journal).
     fn workflow_lookup(&self, req: &Request, key: &str) -> Response {
         if !valid_run_key(key) {
             return fail(
@@ -1717,7 +1402,7 @@ impl Api {
             );
         }
         let key = key.to_ascii_lowercase();
-        if let Some(result) = self.flow.journaled(&key) {
+        if let Some(result) = self.backend.flow().journaled(&key) {
             return Response::json(200, &workflow_result_json(&result))
                 .with_header("X-Workflow-Key", &result.key_hex)
                 .into_chunked();
@@ -1752,85 +1437,54 @@ impl Api {
                 }
             }
         }
-        fail(req, 404, "not_found", "no journaled workflow for that key")
+        self.backend.unknown_workflow(req, parsed_key(&key))
     }
 
-    fn experiment(&self, req: &Request, name: &str) -> Response {
+    /// `POST /v1/experiments/{id}`: validates the scale and the id against
+    /// the catalogue, then renders the figure or table on the backend.
+    fn experiment(&self, req: &Request, id: &str) -> Response {
         let body = parse_body(req).unwrap_or(Json::Obj(Vec::new()));
         let scale = match parse_scale(&body) {
             Ok(scale) => scale,
             Err(why) => return fail(req, 400, "bad_request", why),
         };
-        let exec: &dyn Executor = &*self.engine;
-
-        let rendered = match name {
-            "fig3" => fig3::render(&fig3::compute_with(exec, scale)),
-            "fig4" => fig456::render_fig4(&fig4_rows(exec, scale)),
-            "fig5" => fig456::render_fig5(&fig456::fig5(&characterize_all_with(exec, scale))),
-            "fig6" => {
-                let pairs = characterize_all_with(exec, scale);
-                fig456::render_fig6_with_effects(&fig456::fig6(&pairs), &pairs)
-            }
-            "fig7" => fig78::render_fig7(&fig78::fig7(&characterize_all_with(exec, scale))),
-            "fig8" => fig78::render_fig8(&fig78::fig8(&characterize_all_with(exec, scale))),
-            "fig9" => fig9::render(&fig9::fig9(&characterize_all_with(exec, scale))),
-            "table1" => tables::render_table1(),
-            "table2" => tables::render_table2(),
-            _ => {
-                return fail(
-                    req,
-                    404,
-                    "not_found",
-                    &format!("unknown experiment: {name} (fig3..fig9, table1, table2)"),
-                )
-            }
-        };
-
-        Response::json(
-            200,
-            &Json::Obj(vec![
-                ("experiment".into(), Json::str(name)),
-                ("scale".into(), Json::F64(scale.factor())),
-                ("rendered".into(), Json::str(rendered)),
-            ]),
-        )
-        .into_chunked()
+        if !EXPERIMENTS.iter().any(|&(eid, _, _)| eid == id) {
+            return fail(
+                req,
+                404,
+                "not_found",
+                &format!("unknown experiment: {id} (fig3..fig9, table1, table2)"),
+            );
+        }
+        self.backend.experiment(req, id, scale)
     }
-}
-
-fn fig4_rows(exec: &dyn Executor, scale: Scale) -> Vec<fig456::Fig4Row> {
-    fig456::fig4(&characterize_all_with(exec, scale))
 }
 
 /// The background body of an async sweep: execute the batch, append each
 /// record to the journal as it completes, then seal the segment. Records
 /// whose index is in `already` were journaled by a previous process and
-/// are skipped (the engine still "executes" them, but the cache answers).
+/// are skipped (the backend still resolves them, but the caches answer).
 /// A failed append never fails the job — it is retried once after the
 /// batch; only records that still cannot be journaled fail the job, since
 /// an unsealed segment without them could never resume faithfully.
 #[allow(clippy::too_many_arguments)]
 fn drive_sweep(
-    engine: &Arc<Engine>,
-    journal: &Arc<Journal>,
-    job: &Arc<AsyncJob>,
-    owned: &[OwnedJobSpec],
+    backend: &dyn Backend,
+    journal: &Journal,
+    job: &AsyncJob,
+    batch: &Batch,
     key_hex: &str,
-    request_id: Option<String>,
+    rid: Option<&str>,
     already: &HashSet<u64>,
     recovered: bool,
 ) {
-    let specs: Vec<JobSpec<'_>> = owned.iter().map(OwnedJobSpec::spec).collect();
-    let rid = request_id.as_deref();
     let retry: Mutex<Vec<(u64, String, bool)>> = Mutex::new(Vec::new());
-    engine.execute_sweep_observed(&specs, rid, &|rec| {
-        let index = rec.index as u64;
+    let swept = backend.sweep(batch, rid, Deadline::none(), &|index, line, errored| {
+        let index = index as u64;
         if already.contains(&index) {
             return;
         }
-        let line = sweep_record_json(rec).dump();
-        let errored = rec.result.is_err();
-        match journal.append_record(key_hex, index, &line) {
+        match journal.append_record(key_hex, index, line) {
             Ok(()) => job.record_done(errored),
             Err(e) => {
                 obs_log::warn(
@@ -1842,10 +1496,17 @@ fn drive_sweep(
                         ("error", e.to_string().into()),
                     ],
                 );
-                retry.lock().unwrap().push((index, line, errored));
+                retry
+                    .lock()
+                    .unwrap()
+                    .push((index, line.to_string(), errored));
             }
         }
     });
+    if let Err(e) = swept {
+        job.fail(format!("sweep failed: {}", e.message));
+        return;
+    }
     let mut lost = 0u64;
     for (index, line, errored) in retry.into_inner().unwrap() {
         match journal.append_record(key_hex, index, &line) {
@@ -1885,9 +1546,9 @@ fn drive_sweep(
 /// serves, so a restarted process can answer lookups from disk alone.
 #[allow(clippy::too_many_arguments)]
 fn drive_workflow(
-    flow: &Arc<FlowRunner>,
-    journal: &Arc<Journal>,
-    job: &Arc<AsyncJob>,
+    flow: &heteropipe_flow::FlowRunner,
+    journal: &Journal,
+    job: &AsyncJob,
     graph: &TaskGraph,
     key_hex: &str,
     request_id: Option<String>,
@@ -1942,9 +1603,8 @@ fn drive_workflow(
 }
 
 /// Parses a request body as a JSON object (`None` for empty, non-UTF-8,
-/// unparseable, or non-object bodies). Shared with the cluster
-/// coordinator so both front doors reject malformed bodies identically.
-pub fn parse_body(req: &Request) -> Option<Json> {
+/// unparseable, or non-object bodies).
+fn parse_body(req: &Request) -> Option<Json> {
     if req.body.is_empty() {
         return None;
     }
@@ -2178,126 +1838,86 @@ pub fn sweep_entries(body: &Json) -> Result<Vec<Json>, SpecError> {
     Ok(entries)
 }
 
-/// The stable per-entry error code in sweep NDJSON records.
-fn engine_error_code(e: &EngineError) -> &'static str {
-    match e {
-        EngineError::Quarantined { .. } => "quarantined",
-        _ => "execution_failed",
-    }
-}
-
-/// One NDJSON line of a sweep stream. Deliberately free of timing and
-/// cache-disposition fields, so a warm repeat of the same sweep emits
-/// byte-identical records (only the trailing summary line varies).
-fn sweep_record_json(rec: &SweepRecord) -> Json {
-    let mut obj = vec![
-        ("index".to_string(), Json::U64(rec.index as u64)),
-        ("key".to_string(), Json::str(rec.key_hex.clone())),
-    ];
-    match &rec.result {
-        Ok(report) => {
-            obj.push(("status".to_string(), Json::str("ok")));
-            obj.push(("deduped".to_string(), Json::Bool(rec.deduped)));
-            obj.push(("report".to_string(), report_json(report)));
+impl Api {
+    /// Builds the graph a `POST /v1/workflows` body describes: either a
+    /// built-in named graph (`"workflow"` plus optional `"scale"`) or an
+    /// inline `"stages"` array of sweep stages with dependency edges,
+    /// whose bodies run on this API's backend under `rid` and `deadline`.
+    fn workflow_graph(
+        &self,
+        body: &Json,
+        rid: Option<&str>,
+        deadline: Deadline,
+    ) -> Result<TaskGraph, SpecError> {
+        if let Some(name) = body.get("workflow") {
+            let Some(name) = name.as_str() else {
+                return Err(SpecError::bad("\"workflow\" must be a string"));
+            };
+            let scale = parse_scale(body).map_err(SpecError::bad)?;
+            return match figures::graph(name, scale, false) {
+                Some(fg) => Ok(fg.graph),
+                None => Err(SpecError::new(
+                    404,
+                    "not_found",
+                    format!(
+                        "unknown workflow: {name} (built-ins: {})",
+                        figures::names().join(", ")
+                    ),
+                )),
+            };
         }
-        Err(e) => {
-            obj.push(("status".to_string(), Json::str("error")));
-            obj.push(("deduped".to_string(), Json::Bool(rec.deduped)));
-            obj.push((
-                "error".to_string(),
-                Json::Obj(vec![
-                    ("code".into(), Json::str(engine_error_code(e))),
-                    ("message".into(), Json::str(e.to_string())),
-                ]),
+        let Some(stages) = body.get("stages") else {
+            return Err(SpecError::bad(
+                "body needs \"workflow\" (built-in name) or \"stages\" (array of stage objects)",
+            ));
+        };
+        let Some(stages) = stages.as_array() else {
+            return Err(SpecError::bad("\"stages\" must be an array"));
+        };
+        if stages.is_empty() {
+            return Err(SpecError::bad("workflow has no stages"));
+        }
+        if stages.len() > MAX_WORKFLOW_STAGES {
+            return Err(SpecError::new(
+                413,
+                "payload_too_large",
+                format!(
+                    "workflow of {} stages exceeds the {MAX_WORKFLOW_STAGES}-stage cap",
+                    stages.len()
+                ),
             ));
         }
+        let backend = Arc::downgrade(&self.backend);
+        let mut graph = TaskGraph::new("inline");
+        let mut total_jobs = 0usize;
+        for (i, stage) in stages.iter().enumerate() {
+            let Json::Obj(_) = stage else {
+                return Err(SpecError::bad(format!("stages[{i}] must be an object")));
+            };
+            let built =
+                inline_stage(stage, &mut total_jobs, &backend, rid, deadline).map_err(|e| {
+                    SpecError::new(e.status, e.code, format!("stages[{i}]: {}", e.message))
+                })?;
+            let name = built.name().to_owned();
+            graph.add(built);
+            graph.output(name);
+        }
+        Ok(graph)
     }
-    Json::Obj(obj)
-}
-
-/// The trailing NDJSON summary line of a sweep stream (the one line that
-/// carries timing, excluded from byte-identity guarantees).
-fn sweep_summary_json(outcome: &heteropipe_engine::SweepOutcome) -> Json {
-    let s = &outcome.summary;
-    Json::Obj(vec![(
-        "sweep".to_string(),
-        Json::Obj(vec![
-            ("key".into(), Json::str(outcome.key_hex.clone())),
-            ("jobs_total".into(), Json::U64(s.jobs_total)),
-            ("jobs_unique".into(), Json::U64(s.jobs_unique)),
-            ("duplicates".into(), Json::U64(s.duplicates)),
-            ("cache_hits".into(), Json::U64(s.cache_hits)),
-            ("executed".into(), Json::U64(s.executed)),
-            ("coalesced".into(), Json::U64(s.coalesced)),
-            ("failed".into(), Json::U64(s.failed)),
-            ("wall_ms".into(), Json::U64(s.wall_ns / 1_000_000)),
-            ("speedup_vs_serial".into(), Json::F64(s.speedup_vs_serial())),
-        ]),
-    )])
-}
-
-/// Builds the graph a `POST /v1/workflows` body describes: either a
-/// built-in named graph (`"workflow"` plus optional `"scale"`) or an
-/// inline `"stages"` array of sweep stages with dependency edges.
-pub fn workflow_graph(body: &Json) -> Result<TaskGraph, SpecError> {
-    if let Some(name) = body.get("workflow") {
-        let Some(name) = name.as_str() else {
-            return Err(SpecError::bad("\"workflow\" must be a string"));
-        };
-        let scale = parse_scale(body).map_err(SpecError::bad)?;
-        return match figures::graph(name, scale, false) {
-            Some(fg) => Ok(fg.graph),
-            None => Err(SpecError::new(
-                404,
-                "not_found",
-                format!(
-                    "unknown workflow: {name} (built-ins: {})",
-                    figures::names().join(", ")
-                ),
-            )),
-        };
-    }
-    let Some(stages) = body.get("stages") else {
-        return Err(SpecError::bad(
-            "body needs \"workflow\" (built-in name) or \"stages\" (array of stage objects)",
-        ));
-    };
-    let Some(stages) = stages.as_array() else {
-        return Err(SpecError::bad("\"stages\" must be an array"));
-    };
-    if stages.is_empty() {
-        return Err(SpecError::bad("workflow has no stages"));
-    }
-    if stages.len() > MAX_WORKFLOW_STAGES {
-        return Err(SpecError::new(
-            413,
-            "payload_too_large",
-            format!(
-                "workflow of {} stages exceeds the {MAX_WORKFLOW_STAGES}-stage cap",
-                stages.len()
-            ),
-        ));
-    }
-    let mut graph = TaskGraph::new("inline");
-    let mut total_jobs = 0usize;
-    for (i, stage) in stages.iter().enumerate() {
-        let Json::Obj(_) = stage else {
-            return Err(SpecError::bad(format!("stages[{i}] must be an object")));
-        };
-        let built = inline_stage(stage, &mut total_jobs)
-            .map_err(|e| SpecError::new(e.status, e.code, format!("stages[{i}]: {}", e.message)))?;
-        let name = built.name().to_owned();
-        graph.add(built);
-        graph.output(name);
-    }
-    Ok(graph)
 }
 
 /// Parses one inline workflow stage: a name, optional `deps`, and a sweep
-/// body (the same `jobs` / `benchmarks` forms as `POST /v1/sweeps`). The
-/// stage key is derived from the sweep's content address, so identical
-/// inline sweep stages memoize across workflows.
-fn inline_stage(stage: &Json, total_jobs: &mut usize) -> Result<Stage, SpecError> {
+/// body (the same `jobs` / `benchmarks` forms as `POST /v1/sweeps`) that
+/// the stage resolves through `backend`. The stage key is derived from
+/// the sweep's content address, so identical inline sweep stages memoize
+/// across workflows — and agree between a node and a coordinator.
+fn inline_stage(
+    stage: &Json,
+    total_jobs: &mut usize,
+    backend: &Weak<dyn Backend>,
+    rid: Option<&str>,
+    deadline: Deadline,
+) -> Result<Stage, SpecError> {
     let Some(name) = stage.get("name").and_then(Json::as_str) else {
         return Err(SpecError::bad("missing field: name"));
     };
@@ -2327,38 +1947,36 @@ fn inline_stage(stage: &Json, total_jobs: &mut usize) -> Result<Stage, SpecError
             format!("workflow exceeds the {MAX_SWEEP_JOBS}-job cap across its stages"),
         ));
     }
-    let mut owned = Vec::with_capacity(entries.len());
-    for (j, entry) in entries.iter().enumerate() {
-        match parse_job_spec(entry) {
-            Ok(job) => owned.push(job),
-            Err(e) => {
-                return Err(SpecError::new(
-                    e.status,
-                    e.code,
-                    format!("jobs[{j}]: {}", e.message),
-                ))
-            }
-        }
-    }
-    let keys: Vec<RunKey> = owned.iter().map(|o| run_key(&o.spec())).collect();
-    let sweep_hex = sweep_key(&keys).hex();
-    let mut built = Stage::new(name, StageKind::Sweep, move |ctx| {
-        let specs: Vec<JobSpec<'_>> = owned.iter().map(OwnedJobSpec::spec).collect();
-        let records = Mutex::new(Vec::with_capacity(specs.len()));
-        let outcome = ctx.engine().execute_sweep_observed(&specs, None, &|rec| {
-            records
-                .lock()
-                .unwrap()
-                .push((rec.index, sweep_record_json(rec).dump()));
-        });
-        if outcome.summary.failed > 0 {
+    let batch = Batch::parse(entries)?;
+    let input = format!("jobs={}", batch.key_hex);
+    let backend = Weak::clone(backend);
+    let rid = rid.map(str::to_owned);
+    let mut built = Stage::new(name, StageKind::Sweep, move |_ctx| {
+        let Some(backend) = backend.upgrade() else {
+            return Err("server shut down".to_string());
+        };
+        let records = Mutex::new(Vec::with_capacity(batch.entries.len()));
+        let summary = backend
+            .sweep(&batch, rid.as_deref(), deadline, &|index, line, _| {
+                records.lock().unwrap().push((index, line.to_owned()));
+            })
+            .map_err(|e| e.message)?;
+        let field = |name: &str| {
+            summary
+                .get("sweep")
+                .and_then(|s| s.get(name))
+                .and_then(Json::as_u64)
+                .unwrap_or(0)
+        };
+        if field("failed") > 0 {
             return Err(format!(
                 "{} of {} sweep jobs failed",
-                outcome.summary.failed, outcome.summary.jobs_total
+                field("failed"),
+                field("jobs_total")
             ));
         }
-        // Completion order is nondeterministic; the stage value is the
-        // records in submission order, one JSON line each.
+        // Completion order may be nondeterministic; the stage value is
+        // the records in submission order, one JSON line each.
         let mut records = records.into_inner().unwrap();
         records.sort_by_key(|&(i, _)| i);
         let mut text = String::new();
@@ -2368,7 +1986,7 @@ fn inline_stage(stage: &Json, total_jobs: &mut usize) -> Result<Stage, SpecError
         }
         Ok(StageValue::from_text(text))
     })
-    .input(format!("jobs={sweep_hex}"));
+    .input(input);
     for d in deps {
         built = built.dep(d);
     }
@@ -2377,7 +1995,7 @@ fn inline_stage(stage: &Json, total_jobs: &mut usize) -> Result<Stage, SpecError
 
 /// One NDJSON stage-completion event of a workflow stream (also the
 /// `events` entries of the journaled result).
-pub fn stage_event_json(ev: &StageEvent) -> Json {
+fn stage_event_json(ev: &StageEvent) -> Json {
     let mut obj = vec![
         ("stage".to_string(), Json::str(ev.stage.clone())),
         ("kind".to_string(), Json::str(ev.kind.label())),
@@ -2397,7 +2015,7 @@ pub fn stage_event_json(ev: &StageEvent) -> Json {
 
 /// The workflow summary object shared by the trailing NDJSON line and the
 /// journaled-result lookup.
-pub fn workflow_summary_json(result: &WorkflowResult) -> Json {
+fn workflow_summary_json(result: &WorkflowResult) -> Json {
     let s = &result.summary;
     Json::Obj(vec![(
         "workflow".to_string(),
@@ -2416,7 +2034,7 @@ pub fn workflow_summary_json(result: &WorkflowResult) -> Json {
 
 /// The `GET /v1/workflows/{key}` body: summary, per-stage events, and the
 /// rendered text of every declared output stage.
-pub fn workflow_result_json(result: &WorkflowResult) -> Json {
+fn workflow_result_json(result: &WorkflowResult) -> Json {
     let mut fields = match workflow_summary_json(result) {
         Json::Obj(fields) => fields,
         _ => unreachable!("summary is an object"),
@@ -2443,9 +2061,9 @@ pub fn workflow_result_json(result: &WorkflowResult) -> Json {
     Json::Obj(fields)
 }
 
-/// The `GET /v1/benchmarks` census response (also served locally by the
-/// cluster coordinator — the catalogue is static, so no proxying).
-pub fn benchmarks() -> Response {
+/// The `GET /v1/benchmarks` census response (static, so a coordinator
+/// answers it without asking a worker).
+fn benchmarks() -> Response {
     let all = registry::all();
     let examined = all.iter().filter(|w| w.meta.examined).count();
     let list: Vec<Json> = all.iter().map(benchmark_json).collect();
@@ -2480,21 +2098,6 @@ fn benchmark_json(w: &Workload) -> Json {
             Json::Bool(m.misalignment_sensitive),
         ),
     ])
-}
-
-/// Whether a request's `If-None-Match` header matches `etag` (a quoted
-/// entity tag). Strong comparison over a comma-separated candidate list,
-/// tolerating a `W/` weakness prefix, the bare unquoted tag (clients
-/// often echo the `X-Run-Key` value directly), and `*`.
-fn if_none_match(req: &Request, etag: &str) -> bool {
-    let Some(raw) = req.header("if-none-match") else {
-        return false;
-    };
-    let bare = etag.trim_matches('"');
-    raw.split(',').map(str::trim).any(|cand| {
-        let cand = cand.strip_prefix("W/").unwrap_or(cand);
-        cand == "*" || cand == etag || cand == bare
-    })
 }
 
 /// The experiment catalogue: every paper figure/table reproduction the
@@ -2556,10 +2159,8 @@ fn experiment_json(id: &str, title: &str, section: &str) -> Json {
 }
 
 /// The `GET /v1/experiments` index body: every figure/table reproduction
-/// with id, title, paper section, and accepted knobs. Also served
-/// locally by the cluster coordinator — the catalogue is static, so no
-/// proxying.
-pub fn experiments_index() -> Json {
+/// with id, title, paper section, and accepted knobs.
+fn experiments_index() -> Json {
     Json::Obj(vec![
         ("total".into(), Json::U64(EXPERIMENTS.len() as u64)),
         (
@@ -2575,7 +2176,7 @@ pub fn experiments_index() -> Json {
 }
 
 /// The metadata object for one experiment id, or `None` when unknown.
-pub fn experiment_meta(id: &str) -> Option<Json> {
+fn experiment_meta(id: &str) -> Option<Json> {
     EXPERIMENTS
         .iter()
         .find(|&&(eid, _, _)| eid == id)
@@ -2583,13 +2184,13 @@ pub fn experiment_meta(id: &str) -> Option<Json> {
 }
 
 /// The `GET /v1/experiments` response.
-pub fn experiments() -> Response {
+fn experiments() -> Response {
     Response::json(200, &experiments_index()).into_chunked()
 }
 
 /// The `GET /v1/experiments/{id}` response: metadata only — execution
 /// stays on `POST`.
-pub fn experiment_lookup(req: &Request, id: &str) -> Response {
+fn experiment_lookup(req: &Request, id: &str) -> Response {
     match experiment_meta(id) {
         Some(meta) => Response::json(200, &meta),
         None => fail(

@@ -22,7 +22,11 @@
 //!   backend is unhealthy (observability routes stay exempt);
 //! * [`error`] — the one JSON error envelope every non-2xx response
 //!   carries (`{"error":{"code","message"},"request_id"}`);
-//! * [`api`] — the routes (full reference in `docs/api.md`): `/healthz`
+//! * [`api`] — the one front door (full reference in `docs/api.md`):
+//!   routing, admission, the `?async=1` lifecycle, journal lookups,
+//!   readiness and the shared `/metrics` families, over a
+//!   [`backend::Backend`] — [`local::LocalBackend`] here, the cluster
+//!   coordinator's backend in `heteropipe-cluster`. Routes: `/healthz`
 //!   (plus `/healthz/live` and `/healthz/ready`), `/metrics`,
 //!   `/v1/benchmarks`, `POST /v1/runs`, `GET /v1/runs/{key}`,
 //!   `GET /v1/runs/{key}/trace`, `POST /v1/sweeps` (batched execution
@@ -47,20 +51,24 @@
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod backend;
 pub mod breaker;
 pub mod client;
 pub mod error;
 pub mod http;
 pub mod jobs;
 pub mod json;
+pub mod local;
 pub mod server;
 pub mod shutdown;
 pub mod tenant;
 
 pub use api::{serve, serve_durable, Api};
+pub use backend::{Backend, Batch, Deadline};
 pub use breaker::{Admission, BreakerConfig, CircuitBreaker};
 pub use client::{ApiError, Client, ClientPool, ClientResponse, PooledClient};
 pub use error::envelope;
 pub use json::Json;
+pub use local::LocalBackend;
 pub use server::{Handler, Server, ServerConfig, ServerHandle, ServerStats};
 pub use tenant::TenantGate;

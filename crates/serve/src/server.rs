@@ -108,6 +108,8 @@ pub struct ServerStats {
     pub shed: AtomicU64,
     /// Responses sent with a 2xx status.
     pub status_2xx: AtomicU64,
+    /// Responses sent with a 3xx status (`304 Not Modified`).
+    pub status_3xx: AtomicU64,
     /// Responses sent with a 4xx status.
     pub status_4xx: AtomicU64,
     /// Responses sent with a 5xx status.
@@ -124,10 +126,22 @@ impl ServerStats {
         Self::default()
     }
 
+    /// Responses sent so far per status class, in class order: the one
+    /// breakdown both `/metrics` formats render.
+    pub fn status_classes(&self) -> [(&'static str, u64); 4] {
+        [
+            ("2xx", self.status_2xx.load(Ordering::Relaxed)),
+            ("3xx", self.status_3xx.load(Ordering::Relaxed)),
+            ("4xx", self.status_4xx.load(Ordering::Relaxed)),
+            ("5xx", self.status_5xx.load(Ordering::Relaxed)),
+        ]
+    }
+
     fn record(&self, status: u16, elapsed: Duration) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         match status {
             200..=299 => &self.status_2xx,
+            300..=399 => &self.status_3xx,
             400..=499 => &self.status_4xx,
             _ => &self.status_5xx,
         }
@@ -632,6 +646,35 @@ mod tests {
         // The worker survives the panic and keeps serving.
         assert_eq!(client.get("/fine").unwrap().status, 200);
         assert_eq!(handle.stats().status_5xx.load(Ordering::Relaxed), 1);
+        handle.shutdown_and_join();
+    }
+
+    #[test]
+    fn not_modified_counts_as_3xx_not_5xx() {
+        let cfg = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 1,
+            ..ServerConfig::default()
+        };
+        let handler = |_: &Request| -> Response {
+            Response {
+                status: 304,
+                headers: Vec::new(),
+                body: Vec::new(),
+                chunked: false,
+                stream: None,
+            }
+        };
+        let handle = Server::bind(cfg, Arc::new(handler)).unwrap().start();
+        let mut client = Client::new(handle.addr().to_string());
+        assert_eq!(client.get("/etag").unwrap().status, 304);
+        let stats = handle.stats();
+        assert_eq!(stats.status_3xx.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.status_5xx.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            stats.status_classes(),
+            [("2xx", 0), ("3xx", 1), ("4xx", 0), ("5xx", 0)]
+        );
         handle.shutdown_and_join();
     }
 
