@@ -19,9 +19,7 @@
 //! shares a class); unmatched writebacks at the end of the region of
 //! interest are final output writes and count as required.
 
-use std::collections::HashMap;
-
-use heteropipe_mem::LineAddr;
+use heteropipe_mem::{LineAddr, LineTable};
 
 /// The Fig. 9 access classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,17 +120,31 @@ impl ClassCounts {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct LineState {
     /// Stage of the last off-chip event on this line.
     stage: u32,
-    /// Whether the last event was a writeback.
-    was_writeback: bool,
     /// Writebacks not yet paired with a re-fetch.
     pending_writebacks: u32,
-    /// Stage of the most recent fetch (for R-R distance when a writeback
-    /// intervened).
-    last_fetch_stage: i64,
+    /// Whether the last event was a writeback.
+    was_writeback: bool,
+    /// Whether the line has been fetched at all.
+    fetched: bool,
+    /// Whether the line has seen any off-chip event.
+    present: bool,
+}
+
+impl LineState {
+    /// The state a line's first off-chip event starts from.
+    fn first(stage: u32, was_writeback: bool) -> Self {
+        LineState {
+            stage,
+            pending_writebacks: 0,
+            was_writeback,
+            fetched: false,
+            present: true,
+        }
+    }
 }
 
 /// Streaming classifier over the off-chip interface.
@@ -155,7 +167,7 @@ struct LineState {
 /// ```
 #[derive(Debug, Default)]
 pub struct OffchipClassifier {
-    lines: HashMap<u64, LineState>,
+    lines: LineTable<LineState>,
     counts: ClassCounts,
     /// Maximum stage distance still counted as a spill (paper: 1 = next
     /// stage).
@@ -166,7 +178,7 @@ impl OffchipClassifier {
     /// A classifier with the paper's next-stage spill window.
     pub fn new() -> Self {
         OffchipClassifier {
-            lines: HashMap::new(),
+            lines: LineTable::new(),
             counts: ClassCounts::default(),
             spill_window: 1,
         }
@@ -182,14 +194,13 @@ impl OffchipClassifier {
     }
 
     /// Records an off-chip fetch of `line` by the stage numbered `stage`.
+    #[inline]
     pub fn fetch(&mut self, line: LineAddr, stage: u32) {
-        let state = self.lines.entry(line.0).or_insert(LineState {
-            stage,
-            was_writeback: false,
-            pending_writebacks: 0,
-            last_fetch_stage: -1,
-        });
-        let class = if state.last_fetch_stage < 0 && !state.was_writeback && state.stage == stage {
+        let state = self.lines.get_mut(line.0);
+        if !state.present {
+            *state = LineState::first(stage, false);
+        }
+        let class = if !state.fetched && !state.was_writeback && state.stage == stage {
             // Fresh entry: compulsory.
             None
         } else {
@@ -224,19 +235,18 @@ impl OffchipClassifier {
         }
         state.stage = stage;
         state.was_writeback = false;
-        state.last_fetch_stage = stage as i64;
+        state.fetched = true;
     }
 
     /// Records an off-chip writeback of `line` by the stage numbered
     /// `stage`. Its class is decided by the next fetch of the line (or
     /// `finish`, if none comes).
+    #[inline]
     pub fn writeback(&mut self, line: LineAddr, stage: u32) {
-        let state = self.lines.entry(line.0).or_insert(LineState {
-            stage,
-            was_writeback: true,
-            pending_writebacks: 0,
-            last_fetch_stage: -1,
-        });
+        let state = self.lines.get_mut(line.0);
+        if !state.present {
+            *state = LineState::first(stage, true);
+        }
         state.stage = stage;
         state.was_writeback = true;
         state.pending_writebacks += 1;
@@ -403,6 +413,89 @@ mod tests {
             }
             let counts = c.finish();
             assert_eq!(counts.total(), n);
+        });
+    }
+
+    /// The original `HashMap` classifier, kept as the reference the dense
+    /// table must reproduce.
+    struct Reference {
+        /// `(stage, was_writeback, pending_writebacks, last_fetch_stage)`.
+        lines: std::collections::HashMap<u64, (u32, bool, u32, i64)>,
+        counts: ClassCounts,
+        spill_window: u32,
+    }
+
+    impl Reference {
+        fn class(&self, was_wb: bool, dist: u32) -> AccessClass {
+            match (was_wb, dist) {
+                (true, 0) => AccessClass::WrContention,
+                (true, d) if d <= self.spill_window => AccessClass::WrSpill,
+                (false, 0) => AccessClass::RrContention,
+                (false, d) if d <= self.spill_window => AccessClass::RrSpill,
+                _ => AccessClass::Required,
+            }
+        }
+
+        fn fetch(&mut self, line: u64, stage: u32) {
+            let s = *self.lines.entry(line).or_insert((stage, false, 0, -1));
+            let (last, was_wb, mut pending, last_fetch) = s;
+            if last_fetch < 0 && !was_wb && last == stage {
+                self.counts.add(AccessClass::Required, 1);
+            } else {
+                let c = self.class(was_wb, stage.saturating_sub(last));
+                self.counts.add(c, 1);
+                if pending > 0 {
+                    pending -= 1;
+                    self.counts.add(c, 1);
+                }
+            }
+            self.lines
+                .insert(line, (stage, false, pending, stage as i64));
+        }
+
+        fn writeback(&mut self, line: u64, stage: u32) {
+            let s = self.lines.entry(line).or_insert((stage, true, 0, -1));
+            s.0 = stage;
+            s.1 = true;
+            s.2 += 1;
+        }
+
+        fn finish(mut self) -> ClassCounts {
+            let pending: u64 = self.lines.values().map(|s| s.2 as u64).sum();
+            self.counts.add(AccessClass::Required, pending);
+            self.counts
+        }
+    }
+
+    /// The dense classifier agrees with the `HashMap` reference under
+    /// random fetch/writeback streams that cross chunk boundaries and mix
+    /// both allocator bases with low addresses.
+    #[test]
+    fn matches_hashmap_reference() {
+        heteropipe_sim::check::cases(64, 0xC1A5, |g| {
+            let window = g.u32(0, 4);
+            let mut c = OffchipClassifier::with_spill_window(window);
+            let mut r = Reference {
+                lines: Default::default(),
+                counts: ClassCounts::default(),
+                spill_window: window,
+            };
+            // Low test lines, the CPU base, just below the GPU base.
+            let bases = [0u64, 0x1000_0000 / 128, 0x1000_0000_0000 / 128 - 30];
+            let mut stage = 0u32;
+            for _ in 0..g.usize(1, 800) {
+                stage += g.u32(0, 4) / 3;
+                let l = bases[g.usize(0, 3)] + g.u64(0, 2 * 4096 + 64) / 64 * 61;
+                if g.bool() {
+                    c.writeback(line(l), stage);
+                    r.writeback(l, stage);
+                } else {
+                    c.fetch(line(l), stage);
+                    r.fetch(l, stage);
+                }
+                assert_eq!(c.counts(), r.counts);
+            }
+            assert_eq!(c.finish(), r.finish());
         });
     }
 }

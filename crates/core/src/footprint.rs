@@ -5,10 +5,8 @@
 //! copy version's large "copy-touched" portions and the limited-copy
 //! version's shrunken footprint both fall out of this map.
 
-use std::collections::HashMap;
-
 use heteropipe_mem::access::Component;
-use heteropipe_mem::{LineAddr, LINE_BYTES};
+use heteropipe_mem::{LineAddr, LineTable, LINE_BYTES};
 
 /// Which components touched a line (bitmask over [`Component`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -79,7 +77,10 @@ impl TouchSet {
 /// Accumulates line touches per component.
 #[derive(Debug, Default)]
 pub struct FootprintTracker {
-    lines: HashMap<u64, TouchSet>,
+    /// Per line, the [`TouchSet`] bits of the components that touched it.
+    lines: LineTable<u8>,
+    /// Lines touched by anyone.
+    touched: u64,
 }
 
 impl FootprintTracker {
@@ -89,31 +90,54 @@ impl FootprintTracker {
     }
 
     /// Records that `component` touched `line`.
+    #[inline]
     pub fn touch(&mut self, component: Component, line: LineAddr) {
-        let e = self.lines.entry(line.0).or_insert(TouchSet::EMPTY);
-        *e = e.with(component);
+        let mask = self.lines.get_mut(line.0);
+        if *mask == 0 {
+            self.touched += 1;
+        }
+        *mask |= TouchSet::of(component).0;
     }
 
     /// Total distinct bytes touched by anyone.
     pub fn total_bytes(&self) -> u64 {
-        self.lines.len() as u64 * LINE_BYTES
+        self.touched * LINE_BYTES
+    }
+
+    /// Lines per touch mask, indexed by [`TouchSet::bits`].
+    fn histogram(&self) -> [u64; 8] {
+        let mut h = [0u64; 8];
+        for &m in self.lines.values() {
+            h[usize::from(m & 7)] += 1;
+        }
+        h
     }
 
     /// Bytes touched by exactly the subset `s` (and no other component).
     pub fn bytes_exactly(&self, s: TouchSet) -> u64 {
-        self.lines.values().filter(|&&t| t == s).count() as u64 * LINE_BYTES
+        if s == TouchSet::EMPTY {
+            // Untouched lines are no one's footprint.
+            return 0;
+        }
+        self.histogram()[usize::from(s.0 & 7)] * LINE_BYTES
     }
 
     /// Bytes touched by `c` (alone or with others).
     pub fn bytes_touched_by(&self, c: Component) -> u64 {
-        self.lines.values().filter(|t| t.contains(c)).count() as u64 * LINE_BYTES
+        let h = self.histogram();
+        (0..8u8)
+            .filter(|&m| TouchSet(m).contains(c))
+            .map(|m| h[usize::from(m)])
+            .sum::<u64>()
+            * LINE_BYTES
     }
 
     /// The full exact-subset breakdown in [`TouchSet::all_subsets`] order.
     pub fn breakdown(&self) -> Vec<(TouchSet, u64)> {
+        let h = self.histogram();
         TouchSet::all_subsets()
             .into_iter()
-            .map(|s| (s, self.bytes_exactly(s)))
+            .map(|s| (s, h[usize::from(s.0)] * LINE_BYTES))
             .collect()
     }
 }
@@ -174,5 +198,37 @@ mod tests {
             f.touch(Component::Gpu, LineAddr(7));
         }
         assert_eq!(f.total_bytes(), LINE_BYTES);
+    }
+
+    /// The dense tracker agrees with a `HashMap` reference under random
+    /// touches that cross chunk boundaries and mix both allocator bases
+    /// with low addresses.
+    #[test]
+    fn matches_hashmap_reference() {
+        use std::collections::HashMap;
+        heteropipe_sim::check::cases(64, 0xF007, |g| {
+            let mut f = FootprintTracker::new();
+            let mut r: HashMap<u64, TouchSet> = HashMap::new();
+            // Low test lines, the CPU base, just below the GPU base.
+            let bases = [0u64, 0x1000_0000 / 128, 0x1000_0000_0000 / 128 - 50];
+            for _ in 0..g.usize(1, 800) {
+                let line = bases[g.usize(0, 3)] + g.u64(0, 3 * 4096);
+                let c = Component::ALL[g.usize(0, 3)];
+                f.touch(c, LineAddr(line));
+                let e = r.entry(line).or_insert(TouchSet::EMPTY);
+                *e = e.with(c);
+            }
+            assert_eq!(f.total_bytes(), r.len() as u64 * LINE_BYTES);
+            for s in TouchSet::all_subsets().into_iter().chain([TouchSet::EMPTY]) {
+                let want = r.values().filter(|&&t| t == s).count() as u64 * LINE_BYTES;
+                assert_eq!(f.bytes_exactly(s), want);
+            }
+            for c in Component::ALL {
+                let want = r.values().filter(|t| t.contains(c)).count() as u64 * LINE_BYTES;
+                assert_eq!(f.bytes_touched_by(c), want);
+            }
+            let sum: u64 = f.breakdown().iter().map(|(_, b)| b).sum();
+            assert_eq!(sum, f.total_bytes());
+        });
     }
 }

@@ -10,7 +10,6 @@
 //! serial server that picks the lowest-id ready task, so bulk-synchronous,
 //! streamed, and chunked organizations all execute deterministically.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use heteropipe_cpu::{CpuModel, LevelCounts, StageWork};
@@ -30,11 +29,11 @@ use crate::organize::{lower, Organization, Server, Task, TaskBody, TaskGraph};
 use crate::report::{ComponentTimes, ExclusiveSlice, RunReport};
 use crate::trace::TaskSpan;
 
-/// Profiler slot for the event-loop's next-completion pop, registered
+/// Profiler slot for the run loop's next-completion search, registered
 /// once per process (wall-clock attribution only; never affects results).
-fn event_pop_phase() -> heteropipe_obs::profile::PhaseId {
+fn next_completion_phase() -> heteropipe_obs::profile::PhaseId {
     static P: std::sync::OnceLock<heteropipe_obs::profile::PhaseId> = std::sync::OnceLock::new();
-    *P.get_or_init(|| heteropipe_obs::profile::phase("sim.event_pop"))
+    *P.get_or_init(|| heteropipe_obs::profile::phase("sim.next_completion"))
 }
 
 /// Executes `pipeline` on `config` under `org` and reports everything the
@@ -82,74 +81,11 @@ struct Resources {
     pcie: Option<heteropipe_sim::ResourceId>,
 }
 
-/// Pooled per-run state — the run "arena". Every growable buffer a run
-/// needs is checked out of a thread-local pool when the run starts and
-/// returned (cleared, capacity intact) when the report is built, so
-/// repeated runs on one thread — the engine's job workers, every sweep —
-/// reuse a single set of allocations instead of growing and freeing
-/// thousands of per-pattern line buffers and bookkeeping vectors per job.
 #[derive(Default)]
-struct RunArena {
-    /// Pool of pattern line buffers (`Pattern::emit` targets).
-    line_bufs: Vec<Vec<LineAddr>>,
-    /// Fused-kernel pattern staging for the interleaved tile walk.
-    interleaved: Vec<(AccessKind, Vec<LineAddr>)>,
-    /// Tile cursors for the interleaved walk.
-    offsets: Vec<usize>,
-    /// `(component, start, end)` busy intervals.
-    busy: Vec<(Component, Ps, Ps)>,
-    /// Kernel-launch / DMA-setup intervals.
-    launches: Vec<(Ps, Ps)>,
-    /// Unmet-dependency counts per task.
-    indegree: Vec<usize>,
-    /// Reverse dependency lists per task.
-    dependents: Vec<Vec<usize>>,
-}
-
-thread_local! {
-    static ARENA: RefCell<RunArena> = RefCell::new(RunArena::default());
-}
-
-impl RunArena {
-    /// Checks the thread's arena out of the pool (empty on first use).
-    fn take() -> RunArena {
-        ARENA.with(|a| std::mem::take(&mut *a.borrow_mut()))
-    }
-
-    /// Returns the arena to the pool: one sweep of `clear()`s keeps every
-    /// buffer's capacity for the next run.
-    fn put_back(mut self) {
-        for b in &mut self.line_bufs {
-            b.clear();
-        }
-        while let Some((_, mut b)) = self.interleaved.pop() {
-            b.clear();
-            self.line_bufs.push(b);
-        }
-        self.offsets.clear();
-        self.busy.clear();
-        self.launches.clear();
-        self.indegree.clear();
-        for d in &mut self.dependents {
-            d.clear();
-        }
-        ARENA.with(|a| *a.borrow_mut() = self);
-    }
-
-    /// A cleared line buffer from the pool (fresh if the pool is dry).
-    fn line_buf(&mut self) -> Vec<LineAddr> {
-        let mut b = self.line_bufs.pop().unwrap_or_default();
-        b.clear();
-        b
-    }
-}
-
 struct FuncResult {
     counts: LevelCounts,
-    /// Scattered first-touch faults (full handler round trip each).
-    faults_full: u64,
-    /// Sequential first-touch faults (batched by handler fault-around).
-    faults_batched: u64,
+    /// First-touch GPU page faults (a full handler round trip each).
+    faults: u64,
     /// Line accesses from row-buffer-friendly (sequential) patterns.
     seq_accesses: u64,
     /// Line accesses from random (gather/neighbour) patterns.
@@ -165,6 +101,29 @@ impl FuncResult {
         } else {
             self.seq_accesses as f64 / total as f64
         }
+    }
+}
+
+/// Round-robin SM choice: each SM takes four consecutive GPU line
+/// accesses, so the `n`-th access (from 1) goes to SM `(n / 4) % sms`,
+/// counted without a division.
+#[derive(Default)]
+struct SmCursor {
+    sm: u8,
+    run: u8,
+}
+
+impl SmCursor {
+    fn next(&mut self, sms: u8) -> u8 {
+        self.run += 1;
+        if self.run == 4 {
+            self.run = 0;
+            self.sm += 1;
+            if self.sm == sms {
+                self.sm = 0;
+            }
+        }
+        self.sm
     }
 }
 
@@ -187,9 +146,12 @@ struct Runner<'a> {
     cpu_flops: u64,
     gpu_flops: u64,
     faults: u64,
-    arena: RunArena,
+    /// `(component, start, end)` busy intervals.
+    busy: Vec<(Component, Ps, Ps)>,
+    /// Kernel-launch / DMA-setup intervals.
+    launches: Vec<(Ps, Ps)>,
     spans: Vec<TaskSpan>,
-    sm_cursor: u64,
+    sm: SmCursor,
 }
 
 impl<'a> Runner<'a> {
@@ -251,22 +213,17 @@ impl<'a> Runner<'a> {
             cpu_flops: 0,
             gpu_flops: 0,
             faults: 0,
-            arena: RunArena::take(),
+            busy: Vec::new(),
+            launches: Vec::new(),
             spans: Vec::new(),
-            sm_cursor: 0,
+            sm: SmCursor::default(),
         }
     }
 
     fn execute(mut self) -> (RunReport, Vec<TaskSpan>) {
         let n = self.graph.tasks.len();
-        let mut indegree = std::mem::take(&mut self.arena.indegree);
-        indegree.clear();
-        indegree.extend(self.graph.tasks.iter().map(|t| t.deps.len()));
-        let mut dependents = std::mem::take(&mut self.arena.dependents);
-        for d in &mut dependents {
-            d.clear();
-        }
-        dependents.resize_with(n, Vec::new);
+        let mut indegree: Vec<usize> = self.graph.tasks.iter().map(|t| t.deps.len()).collect();
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         for t in &self.graph.tasks {
             for d in &t.deps {
                 dependents[d.0].push(t.id.0);
@@ -299,13 +256,12 @@ impl<'a> Runner<'a> {
                     }
                 }
             }
-            // Advance to the next completion. The search is profiled under
-            // the historical phase name `sim.event_pop`; the profiler only
-            // accumulates wall-time counters, so results stay
-            // deterministic.
-            let (t, flow) =
-                heteropipe_obs::profile::time(event_pop_phase(), || self.net.next_completion())
-                    .expect("deadlock: tasks pending but nothing running");
+            // Advance to the next completion. The profiler only accumulates
+            // wall-time counters, so results stay deterministic.
+            let (t, flow) = heteropipe_obs::profile::time(next_completion_phase(), || {
+                self.net.next_completion()
+            })
+            .expect("deadlock: tasks pending but nothing running");
             self.net.retire(t, flow);
             now = t;
             let s = (0..3)
@@ -323,8 +279,6 @@ impl<'a> Runner<'a> {
             }
         }
 
-        self.arena.indegree = indegree;
-        self.arena.dependents = dependents;
         let spans = std::mem::take(&mut self.spans);
         (self.report(now), spans)
     }
@@ -336,9 +290,7 @@ impl<'a> Runner<'a> {
             TaskBody::Compute { stage } => {
                 let c = self.pipeline.stages[stage].as_compute().expect("compute");
                 let func = self.compute_functional(task, c);
-                let (i, nch) = task.chunk;
-                let _ = i;
-                let frac = 1.0 / nch as f64;
+                let frac = 1.0 / task.chunk.1 as f64;
                 // SIMT lanes diverge on the random-access fraction of the
                 // kernel's traffic (a gather warp serializes its lanes).
                 let rnd_frac = 1.0 - func.sequential_fraction();
@@ -362,10 +314,8 @@ impl<'a> Runner<'a> {
                         self.gpu_flops += work.flops;
                         let occ =
                             Occupancy::of(self.gpu.config(), c.threads_per_cta, c.scratch_per_cta);
-                        let kernel = self.gpu.kernel_time(&work, occ)
-                            + self
-                                .gpu
-                                .fault_stall_split(func.faults_full, func.faults_batched);
+                        let kernel =
+                            self.gpu.kernel_time(&work, occ) + self.gpu.fault_stall(func.faults);
                         // Fissioned chunks after the first are enqueued
                         // asynchronously: only a small per-launch sliver.
                         let launch = if task.chunk.0 == 0 {
@@ -377,8 +327,8 @@ impl<'a> Runner<'a> {
                     }
                 };
                 if launch > Ps::ZERO {
-                    self.arena.launches.push((now, now + launch));
-                    self.arena.busy.push((Component::Cpu, now, now + launch));
+                    self.launches.push((now, now + launch));
+                    self.busy.push((Component::Cpu, now, now + launch));
                 }
                 let bytes = func.counts.offchip_transactions() as f64 * LINE_BYTES as f64;
                 // Row-buffer locality bounds the bandwidth this stage can
@@ -399,8 +349,8 @@ impl<'a> Runner<'a> {
                 // Queued DMA descriptors after the first chunk are cheap.
                 let full = self.config.pcie.expect("discrete has pcie").setup_latency();
                 let setup = if task.chunk.0 == 0 { full } else { full / 5 };
-                self.arena.launches.push((now, now + setup));
-                self.arena.busy.push((Component::Cpu, now, now + setup));
+                self.launches.push((now, now + setup));
+                self.busy.push((Component::Cpu, now, now + setup));
                 let transfer = self
                     .config
                     .pcie
@@ -458,7 +408,7 @@ impl<'a> Runner<'a> {
             TaskBody::SharedMemcpy { .. } => Ps::ZERO,
         };
         let body_start = (start + head).min(end);
-        self.arena.busy.push((component, body_start, end));
+        self.busy.push((component, body_start, end));
         self.spans.push(TaskSpan {
             name: match &self.pipeline.stages[task.body.stage()] {
                 Stage::Compute(c) => c.name.clone(),
@@ -482,19 +432,13 @@ impl<'a> Runner<'a> {
     /// Drives one compute task's access patterns through the caches.
     fn compute_functional(&mut self, task: &Task, c: &ComputeStage) -> FuncResult {
         let (chunk_i, chunk_n) = task.chunk;
-        let mut counts = LevelCounts::default();
-        let mut faults_full = 0u64;
-        let faults_batched = 0u64;
-        let hetero = self.config.platform == Platform::Heterogeneous;
         let stage_seq = task.seq_stage;
-
-        let mut seq_accesses = 0u64;
-        let mut rnd_accesses = 0u64;
-
+        let mut out = FuncResult::default();
+        let mut lines = Vec::new();
         // Fused kernels interleave their patterns tile-wise: emit each
         // pattern separately, then walk them round-robin in 64-line tiles
         // so a produced tile is consumed while still cache-resident.
-        let mut interleaved = std::mem::take(&mut self.arena.interleaved);
+        let mut interleaved: Vec<(AccessKind, Vec<LineAddr>)> = Vec::new();
 
         for (pi, p) in c.patterns.iter().enumerate() {
             let resolved = &self.graph.buffers[p.buf.0];
@@ -516,7 +460,7 @@ impl<'a> Runner<'a> {
             let mut rng = SplitMix64::new(
                 0x5EED_0000 ^ (task.body.stage() as u64) << 32 ^ (chunk_i as u64) << 16 ^ pi as u64,
             );
-            let mut lines = self.arena.line_buf();
+            lines.clear();
             pattern.emit(range, elem, &mut rng, &mut lines);
             let is_random = matches!(
                 pattern,
@@ -524,98 +468,62 @@ impl<'a> Runner<'a> {
                     | heteropipe_workloads::Pattern::Neighbors { .. }
             );
             if is_random {
-                rnd_accesses += lines.len() as u64;
+                out.rnd_accesses += lines.len() as u64;
             } else {
-                seq_accesses += lines.len() as u64;
+                out.seq_accesses += lines.len() as u64;
             }
 
             if c.interleave_patterns {
-                interleaved.push((p.kind, lines));
+                interleaved.push((p.kind, std::mem::take(&mut lines)));
                 continue;
             }
-
             for &line in &lines {
-                match c.exec {
-                    ExecKind::Cpu => {
-                        self.access_cpu(line, p.kind, stage_seq, &mut counts);
-                    }
-                    ExecKind::Gpu => {
-                        // Paper-faithful IOMMU-style faulting: every first
-                        // touch is a full serialized CPU round trip
-                        // (§III-D; gem5-gpu's handler does no fault-around).
-                        if hetero && self.pagetable.touch(line.page()).is_fault() {
-                            faults_full += 1;
-                            self.clear_page_on_cpu(line, stage_seq);
-                        }
-                        self.sm_cursor += 1;
-                        let sm =
-                            ((self.sm_cursor / 4) % self.config.hierarchy.gpu_sms as u64) as u8;
-                        let r = self.hierarchy.gpu_access(sm, line, p.kind);
-                        self.accesses[Component::Gpu.index()] += 1;
-                        self.footprint.touch(Component::Gpu, line);
-                        self.tally(r, line, p.kind, stage_seq, &mut counts);
-                    }
+                self.access_line(c.exec, line, p.kind, stage_seq, &mut out);
+            }
+        }
+        const TILE: usize = 64;
+        let mut offset = 0;
+        while interleaved.iter().any(|(_, l)| offset < l.len()) {
+            for (kind, lines) in &interleaved {
+                let tile = &lines[offset.min(lines.len())..(offset + TILE).min(lines.len())];
+                for &line in tile {
+                    self.access_line(c.exec, line, *kind, stage_seq, &mut out);
                 }
             }
-            lines.clear();
-            self.arena.line_bufs.push(lines);
+            offset += TILE;
         }
-        if c.interleave_patterns && !interleaved.is_empty() {
-            const TILE: usize = 64;
-            let mut offsets = std::mem::take(&mut self.arena.offsets);
-            offsets.clear();
-            offsets.resize(interleaved.len(), 0);
-            let mut remaining = true;
-            while remaining {
-                remaining = false;
-                for (idx, (kind, lines)) in interleaved.iter().enumerate() {
-                    let start = offsets[idx];
-                    if start >= lines.len() {
-                        continue;
-                    }
-                    let end = (start + TILE).min(lines.len());
-                    offsets[idx] = end;
-                    remaining = true;
-                    for &line in &lines[start..end] {
-                        match c.exec {
-                            ExecKind::Cpu => {
-                                self.access_cpu(line, *kind, stage_seq, &mut counts);
-                            }
-                            ExecKind::Gpu => {
-                                if hetero && self.pagetable.touch(line.page()).is_fault() {
-                                    faults_full += 1;
-                                    self.clear_page_on_cpu(line, stage_seq);
-                                }
-                                self.sm_cursor += 1;
-                                let sm = ((self.sm_cursor / 4)
-                                    % self.config.hierarchy.gpu_sms as u64)
-                                    as u8;
-                                let r = self.hierarchy.gpu_access(sm, line, *kind);
-                                self.accesses[Component::Gpu.index()] += 1;
-                                self.footprint.touch(Component::Gpu, line);
-                                self.tally(r, line, *kind, stage_seq, &mut counts);
-                            }
-                        }
-                    }
-                }
-            }
-            self.arena.offsets = offsets;
+        self.faults += out.faults;
+        out
+    }
+
+    /// One line access of a compute task on its processor. A GPU access
+    /// on the heterogeneous processor may first fault its page.
+    fn access_line(
+        &mut self,
+        exec: ExecKind,
+        line: LineAddr,
+        kind: AccessKind,
+        seq: u32,
+        out: &mut FuncResult,
+    ) {
+        if exec == ExecKind::Cpu {
+            self.access_cpu(line, kind, seq, &mut out.counts);
+            return;
         }
-        // Hand the pattern buffers (and the staging vec itself) back to
-        // the pool for the next task.
-        while let Some((_, mut b)) = interleaved.pop() {
-            b.clear();
-            self.arena.line_bufs.push(b);
+        // Paper-faithful IOMMU-style faulting: every first touch is a full
+        // serialized CPU round trip (§III-D; gem5-gpu's handler does no
+        // fault-around).
+        if self.config.platform == Platform::Heterogeneous
+            && self.pagetable.touch(line.page()).is_fault()
+        {
+            out.faults += 1;
+            self.clear_page_on_cpu(line, seq);
         }
-        self.arena.interleaved = interleaved;
-        self.faults += faults_full + faults_batched;
-        FuncResult {
-            counts,
-            faults_full,
-            faults_batched,
-            seq_accesses,
-            rnd_accesses,
-        }
+        let sm = self.sm.next(self.config.hierarchy.gpu_sms);
+        let r = self.hierarchy.gpu_access(sm, line, kind);
+        self.accesses[Component::Gpu.index()] += 1;
+        self.footprint.touch(Component::Gpu, line);
+        self.tally(r, line, kind, seq, &mut out.counts);
     }
 
     fn access_cpu(&mut self, line: LineAddr, kind: AccessKind, seq: u32, counts: &mut LevelCounts) {
@@ -757,7 +665,7 @@ impl<'a> Runner<'a> {
         let cpu_c = tl.add_component("cpu");
         let gpu_c = tl.add_component("gpu");
         let launch_c = tl.add_component("launch");
-        for &(comp, s, e) in &self.arena.busy {
+        for &(comp, s, e) in &self.busy {
             let c = match comp {
                 Component::Copy => copy_c,
                 Component::Cpu => cpu_c,
@@ -765,7 +673,7 @@ impl<'a> Runner<'a> {
             };
             tl.record(c, s, e);
         }
-        for &(s, e) in &self.arena.launches {
+        for &(s, e) in &self.launches {
             tl.record(launch_c, s, e);
         }
         let bd = tl.breakdown();
@@ -812,7 +720,7 @@ impl<'a> Runner<'a> {
         let bw = self.config.gpu_mem_bw();
         let bw_limited = roi > Ps::ZERO && offchip_bytes as f64 / roi.as_secs_f64() > 0.70 * bw;
 
-        let report = RunReport {
+        RunReport {
             benchmark: self.pipeline.name.clone(),
             platform: self.config.platform,
             organization: self.org,
@@ -832,9 +740,7 @@ impl<'a> Runner<'a> {
             gpu_flops: self.gpu_flops,
             remote_hits: self.hierarchy.remote_hits_cpu() + self.hierarchy.remote_hits_gpu(),
             bw_limited,
-        };
-        self.arena.put_back();
-        report
+        }
     }
 }
 

@@ -200,19 +200,12 @@ impl GpuModel {
     }
 
     /// Extra GPU time due to CPU-handled page faults: faults are serviced by
-    /// a single serialized handler thread on the CPU (§III-D). Faults on
-    /// consecutive pages (`batched`) benefit from fault-around batching in
-    /// the handler and cost an eighth of a full round trip; scattered
-    /// first-touch faults (`full`) pay the whole serialized latency — this
-    /// split is what concentrates the paper's fault slowdown in the
+    /// a single serialized handler thread on the CPU (§III-D), and every
+    /// first touch pays the whole round trip (the handler does no
+    /// fault-around), which concentrates the paper's fault slowdown in the
     /// scatter-writing benchmarks (srad, heartwall, pr_spmv).
-    pub fn fault_stall_split(&self, full: u64, batched: u64) -> Ps {
-        self.config.page_fault_latency * full + (self.config.page_fault_latency * batched) / 8
-    }
-
-    /// Fault stall assuming every fault is a full (unbatched) round trip.
     pub fn fault_stall(&self, faults: u64) -> Ps {
-        self.fault_stall_split(faults, 0)
+        self.config.page_fault_latency * faults
     }
 }
 

@@ -5,10 +5,13 @@
 //! core models over the aggregate counts.
 //!
 //! Storage is structure-of-arrays: one flat tag array, one flat LRU array,
-//! and packed valid/dirty bitsets, so a set probe is a linear sweep over
-//! `ways` adjacent tags instead of a strided walk over per-way structs.
-//! The simulator spends most of its functional-model time in [`
-//! SetAssocCache::access`], and the tag sweep is the inner loop.
+//! and a packed dirty bitset, so a set probe is a linear sweep over `ways`
+//! adjacent tags instead of a strided walk over per-way structs. A slot
+//! stores its tag plus one, so an empty slot (0) never matches and needs
+//! no valid bit, and an empty slot's LRU tick is 0, below every filled
+//! one, so the victim is simply the first least-recently-used way.
+//! The set count is a power of two, so a line's set and tag are a mask
+//! and a shift of its address: the access path divides nothing.
 
 use std::fmt;
 
@@ -40,12 +43,17 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics unless the capacity is a positive multiple of
-    /// `ways * LINE_BYTES`.
+    /// `ways * LINE_BYTES` giving a power-of-two number of sets.
     pub fn new(capacity_bytes: u64, ways: u32) -> Self {
         assert!(ways > 0, "cache must have at least one way");
         assert!(
             capacity_bytes > 0 && capacity_bytes.is_multiple_of(ways as u64 * LINE_BYTES),
             "capacity {capacity_bytes} must be a positive multiple of ways*line"
+        );
+        let sets = capacity_bytes / (ways as u64 * LINE_BYTES);
+        assert!(
+            sets.is_power_of_two(),
+            "capacity {capacity_bytes} with {ways} ways gives {sets} sets, not a power of two"
         );
         CacheConfig {
             capacity_bytes,
@@ -82,6 +90,17 @@ pub struct CacheOutcome {
     /// A dirty line displaced to make room, which must be written to the
     /// next level down.
     pub writeback: Option<LineAddr>,
+    /// Any line displaced to make room, clean or dirty (a coherence
+    /// directory drops this cache from the line's holders).
+    pub evicted: Option<LineAddr>,
+}
+
+impl CacheOutcome {
+    const HIT: CacheOutcome = CacheOutcome {
+        hit: true,
+        writeback: None,
+        evicted: None,
+    };
 }
 
 /// Hit/miss/eviction counters for one cache.
@@ -143,10 +162,6 @@ impl SlotBits {
     fn clear_all(&mut self) {
         self.words.fill(0);
     }
-
-    fn count_ones(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
 }
 
 /// A set-associative, write-allocate, writeback cache with LRU replacement.
@@ -165,11 +180,16 @@ impl SlotBits {
 /// ```
 pub struct SetAssocCache {
     config: CacheConfig,
-    /// Tags, slot-major: set `s` occupies `[s*ways, (s+1)*ways)`.
+    /// `log2(sets)`: a line's tag is its address shifted right by this.
+    set_bits: u32,
+    /// `sets - 1`: a line's set is its address masked by this.
+    set_mask: u64,
+    ways: usize,
+    /// Tag plus one per slot (0 = empty), slot-major: set `s` occupies
+    /// `[s*ways, (s+1)*ways)`.
     tags: Vec<u64>,
-    /// Last-touch tick per slot (LRU order within a set).
+    /// Last-touch tick per slot (LRU order within a set; 0 = empty).
     lru: Vec<u64>,
-    valid: SlotBits,
     dirty: SlotBits,
     tick: u64,
     stats: CacheStats,
@@ -181,9 +201,11 @@ impl SetAssocCache {
         let slots = (config.sets() * config.ways as u64) as usize;
         SetAssocCache {
             config,
+            set_bits: config.sets().trailing_zeros(),
+            set_mask: config.sets() - 1,
+            ways: config.ways as usize,
             tags: vec![0; slots],
             lru: vec![0; slots],
-            valid: SlotBits::zeroed(slots),
             dirty: SlotBits::zeroed(slots),
             tick: 0,
             stats: CacheStats::default(),
@@ -205,32 +227,40 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
+    /// The first slot of `line`'s set, and the tag slot value (tag plus
+    /// one) that holds `line`.
+    #[inline]
     fn set_range(&self, line: LineAddr) -> (usize, u64) {
-        let sets = self.config.sets();
-        let set = (line.0 % sets) as usize;
-        let tag = line.0 / sets;
-        (set * self.config.ways as usize, tag)
+        let set = (line.0 & self.set_mask) as usize;
+        (set * self.ways, (line.0 >> self.set_bits) + 1)
     }
 
-    fn line_of(&self, slot: usize) -> LineAddr {
-        let sets = self.config.sets();
-        let set = (slot / self.config.ways as usize) as u64;
-        LineAddr(self.tags[slot] * sets + set)
+    /// The line held in the filled `slot` of set `set`.
+    #[inline]
+    fn line_of(&self, set: u64, slot: usize) -> LineAddr {
+        LineAddr((self.tags[slot] - 1) << self.set_bits | set)
     }
 
-    /// Linear sweep of one set's tag array for a valid slot holding `tag`.
+    /// Linear sweep of one set's tag array for the slot holding `tag`.
     #[inline]
     fn find(&self, base: usize, tag: u64) -> Option<usize> {
-        let ways = self.config.ways as usize;
-        self.tags[base..base + ways]
+        self.tags[base..base + self.ways]
             .iter()
-            .enumerate()
-            .find(|&(w, &t)| t == tag && self.valid.get(base + w))
-            .map(|(w, _)| base + w)
+            .position(|&t| t == tag)
+            .map(|w| base + w)
     }
 
-    /// Performs an access, allocating on miss. Returns whether it hit and
-    /// any dirty line displaced by the fill.
+    /// Empties `slot`.
+    fn clear_slot(&mut self, slot: usize) {
+        self.tags[slot] = 0;
+        self.lru[slot] = 0;
+        self.dirty.set(slot, false);
+    }
+
+    /// Performs an access, allocating on miss. Returns whether it hit, and
+    /// the line displaced by the fill, if any (also as a writeback when it
+    /// was dirty).
+    #[inline]
     pub fn access(&mut self, line: LineAddr, kind: AccessKind) -> CacheOutcome {
         self.tick += 1;
         let (base, tag) = self.set_range(line);
@@ -240,39 +270,36 @@ impl SetAssocCache {
                 self.dirty.set(slot, true);
             }
             self.stats.hits += 1;
-            return CacheOutcome {
-                hit: true,
-                writeback: None,
-            };
+            return CacheOutcome::HIT;
         }
         self.stats.misses += 1;
-        // Fill: prefer an invalid way, else evict true-LRU.
-        let ways = self.config.ways as usize;
+        // Fill the first least-recently-used way: an empty way if there
+        // is one (tick 0), else the true-LRU line.
         let mut victim = base;
         let mut best = u64::MAX;
-        for slot in base..base + ways {
-            if !self.valid.get(slot) {
-                victim = slot;
-                break;
-            }
+        for slot in base..base + self.ways {
             if self.lru[slot] < best {
                 best = self.lru[slot];
                 victim = slot;
             }
         }
-        let mut writeback = None;
-        if self.valid.get(victim) && self.dirty.get(victim) {
-            writeback = Some(self.line_of(victim));
-            self.stats.writebacks += 1;
+        let mut out = CacheOutcome {
+            hit: false,
+            writeback: None,
+            evicted: None,
+        };
+        if self.tags[victim] != 0 {
+            let old = self.line_of(line.0 & self.set_mask, victim);
+            out.evicted = Some(old);
+            if self.dirty.get(victim) {
+                out.writeback = Some(old);
+                self.stats.writebacks += 1;
+            }
         }
         self.tags[victim] = tag;
-        self.valid.set(victim, true);
         self.dirty.set(victim, kind.is_write());
         self.lru[victim] = self.tick;
-        CacheOutcome {
-            hit: false,
-            writeback,
-        }
+        out
     }
 
     /// Whether the line is currently resident.
@@ -293,9 +320,8 @@ impl SetAssocCache {
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
         let (base, tag) = self.set_range(line);
         let slot = self.find(base, tag)?;
-        self.valid.set(slot, false);
         let was_dirty = self.dirty.get(slot);
-        self.dirty.set(slot, false);
+        self.clear_slot(slot);
         Some(was_dirty)
     }
 
@@ -305,15 +331,52 @@ impl SetAssocCache {
     pub fn invalidate_range(&mut self, range: AddrRange) -> (u64, u64) {
         let mut inv = 0;
         let mut dirty = 0;
-        for line in range.lines() {
-            if let Some(was_dirty) = self.invalidate(line) {
-                inv += 1;
-                if was_dirty {
-                    dirty += 1;
-                }
+        for slot in self.slots_in(range) {
+            inv += 1;
+            if self.dirty.get(slot) {
+                dirty += 1;
             }
+            self.clear_slot(slot);
         }
         (inv, dirty)
+    }
+
+    /// Marks every resident line of `range` clean (as a DMA read's flush
+    /// does), returning how many were dirty.
+    pub fn clean_range(&mut self, range: AddrRange) -> u64 {
+        let mut cleaned = 0;
+        for slot in self.slots_in(range) {
+            if self.dirty.get(slot) {
+                self.dirty.set(slot, false);
+                cleaned += 1;
+            }
+        }
+        cleaned
+    }
+
+    /// The filled slots holding lines of `range`: found line by line for
+    /// a range smaller than the cache, else by one sweep over the slots,
+    /// so a DMA of many megabytes costs one pass over the cache.
+    fn slots_in(&self, range: AddrRange) -> Vec<usize> {
+        let n = range.line_count();
+        if n <= self.tags.len() as u64 {
+            return range
+                .lines()
+                .filter_map(|line| {
+                    let (base, tag) = self.set_range(line);
+                    self.find(base, tag)
+                })
+                .collect();
+        }
+        let first = range.start().line().0;
+        (0..=self.set_mask)
+            .flat_map(|set| {
+                let base = set as usize * self.ways;
+                (base..base + self.ways).filter(move |&slot| {
+                    self.tags[slot] != 0 && self.line_of(set, slot).0.wrapping_sub(first) < n
+                })
+            })
+            .collect()
     }
 
     /// Marks a resident line clean (after its data has been written back or
@@ -325,14 +388,25 @@ impl SetAssocCache {
         }
     }
 
-    /// Number of currently valid lines.
-    pub fn occupancy(&self) -> u64 {
-        self.valid.count_ones()
+    /// Every resident line, set by set.
+    pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        (0..=self.set_mask).flat_map(move |set| {
+            let base = set as usize * self.ways;
+            (base..base + self.ways)
+                .filter(|&slot| self.tags[slot] != 0)
+                .map(move |slot| self.line_of(set, slot))
+        })
     }
 
-    /// Drops all contents and statistics.
+    /// Number of currently valid lines.
+    pub fn occupancy(&self) -> u64 {
+        self.tags.iter().filter(|&&t| t != 0).count() as u64
+    }
+
+    /// Drops all contents (statistics are kept).
     pub fn flush_all(&mut self) {
-        self.valid.clear_all();
+        self.tags.fill(0);
+        self.lru.fill(0);
         self.dirty.clear_all();
     }
 }
@@ -369,6 +443,40 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn config_rejects_bad_capacity() {
         let _ = CacheConfig::new(1000, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn config_rejects_non_power_of_two_sets() {
+        let _ = CacheConfig::new(3 * 2 * LINE_BYTES, 2);
+    }
+
+    #[test]
+    fn every_shipped_geometry_has_power_of_two_sets() {
+        // Table I caches and the GPU L2 capacity ablation.
+        for (kib, ways) in [(64, 8), (256, 16), (24, 6), (1024, 16)] {
+            assert!(CacheConfig::new(kib * 1024, ways).sets().is_power_of_two());
+        }
+        for mb in [256u64, 512, 1024, 2048, 4096] {
+            assert!(CacheConfig::new(mb * 1024, 16).sets().is_power_of_two());
+        }
+    }
+
+    #[test]
+    fn evictions_report_clean_and_dirty_victims() {
+        let mut c = tiny();
+        c.access(LineAddr(0), AccessKind::Write);
+        c.access(LineAddr(4), AccessKind::Read);
+        let out = c.access(LineAddr(8), AccessKind::Read); // evicts dirty 0
+        assert_eq!(out.evicted, Some(LineAddr(0)));
+        assert_eq!(out.writeback, Some(LineAddr(0)));
+        let out = c.access(LineAddr(12), AccessKind::Read); // evicts clean 4
+        assert_eq!(out.evicted, Some(LineAddr(4)));
+        assert_eq!(out.writeback, None);
+        assert_eq!(c.access(LineAddr(1), AccessKind::Read).evicted, None);
+        let mut resident: Vec<u64> = c.resident_lines().map(|l| l.0).collect();
+        resident.sort_unstable();
+        assert_eq!(resident, [1, 8, 12]);
     }
 
     #[test]
@@ -446,6 +554,54 @@ mod tests {
         assert_eq!(c.occupancy(), 0);
     }
 
+    /// Range invalidation and cleaning give the same results whether the
+    /// range is walked line by line (smaller than the cache) or the cache
+    /// is swept (larger), as a per-line reference.
+    #[test]
+    fn range_operations_match_per_line_reference() {
+        use crate::addr::Addr;
+        heteropipe_sim::check::cases(64, 0x4A76E, |g| {
+            let mut c = tiny();
+            let mut r = tiny();
+            for _ in 0..g.usize(1, 300) {
+                let line = LineAddr(g.u64(0, 64));
+                let kind = if g.bool() {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                assert_eq!(c.access(line, kind), r.access(line, kind));
+                if g.usize(0, 10) == 0 {
+                    let start = Addr(g.u64(0, 64 * LINE_BYTES));
+                    let range = AddrRange::new(start, g.u64(1, 30 * LINE_BYTES));
+                    if g.bool() {
+                        let mut want = 0;
+                        for l in range.lines() {
+                            if r.is_dirty(l) {
+                                r.clean(l);
+                                want += 1;
+                            }
+                        }
+                        assert_eq!(c.clean_range(range), want);
+                    } else {
+                        let mut want = (0, 0);
+                        for l in range.lines() {
+                            if let Some(d) = r.invalidate(l) {
+                                want.0 += 1;
+                                want.1 += u64::from(d);
+                            }
+                        }
+                        assert_eq!(c.invalidate_range(range), want);
+                    }
+                }
+            }
+            for l in 0..64 {
+                assert_eq!(c.contains(LineAddr(l)), r.contains(LineAddr(l)));
+                assert_eq!(c.is_dirty(LineAddr(l)), r.is_dirty(LineAddr(l)));
+            }
+        });
+    }
+
     #[test]
     fn flush_all_empties() {
         let mut c = tiny();
@@ -517,8 +673,9 @@ mod tests {
         });
     }
 
-    /// SoA model agrees with a naive per-way AoS reference under random
-    /// traffic: identical hit/miss/writeback sequences and final contents.
+    /// SoA model agrees with a naive per-way AoS reference (modulo and
+    /// division set indexing) under random traffic: identical
+    /// hit/miss/writeback/eviction sequences and final contents.
     #[test]
     fn matches_aos_reference() {
         #[derive(Clone)]
@@ -535,7 +692,12 @@ mod tests {
             tick: u64,
         }
         impl Ref {
-            fn access(&mut self, line: LineAddr, write: bool) -> (bool, Option<LineAddr>) {
+            /// `(hit, writeback, evicted)`.
+            fn access(
+                &mut self,
+                line: LineAddr,
+                write: bool,
+            ) -> (bool, Option<LineAddr>, Option<LineAddr>) {
                 self.tick += 1;
                 let set = (line.0 % self.nsets) as usize;
                 let tag = line.0 / self.nsets;
@@ -545,7 +707,7 @@ mod tests {
                     if s.valid && s.tag == tag {
                         s.lru = self.tick;
                         s.dirty |= write;
-                        return (true, None);
+                        return (true, None, None);
                     }
                 }
                 let mut victim = 0;
@@ -562,20 +724,21 @@ mod tests {
                     }
                 }
                 let s = &mut self.sets[base + victim];
-                let wb = if s.valid && s.dirty {
-                    Some(LineAddr(s.tag * self.nsets + set as u64))
-                } else {
-                    None
-                };
+                let old = LineAddr(s.tag * self.nsets + set as u64);
+                let evicted = s.valid.then_some(old);
+                let wb = evicted.filter(|_| s.dirty);
                 s.tag = tag;
                 s.valid = true;
                 s.dirty = write;
                 s.lru = self.tick;
-                (false, wb)
+                (false, wb, evicted)
             }
         }
         heteropipe_sim::check::cases(64, 0x50A0, |g| {
             let mut c = tiny();
+            // Half the cases start just below the tick counter's wrap, so
+            // the renumbering runs mid-stream.
+
             let mut r = Ref {
                 sets: vec![
                     Way {
@@ -597,9 +760,10 @@ mod tests {
                     AccessKind::Read
                 };
                 let out = c.access(LineAddr(line), kind);
-                let (hit, wb) = r.access(LineAddr(line), is_write);
+                let (hit, wb, evicted) = r.access(LineAddr(line), is_write);
                 assert_eq!(out.hit, hit);
                 assert_eq!(out.writeback, wb);
+                assert_eq!(out.evicted, evicted);
             }
             for line in 0..64 {
                 let set = (line % 4) as usize;

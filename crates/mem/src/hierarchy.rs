@@ -14,10 +14,16 @@
 //! ([`ServiceLevel::Remote`]) instead of going off-chip. In the discrete
 //! system the two sides never probe each other and DMA transfers
 //! invalidate/flush CPU cache contents.
+//!
+//! A coherent hierarchy keeps an exact sharer directory: for every line, a
+//! bit per cache that holds it, updated on every fill, eviction,
+//! invalidation, DMA range operation and L1 flush. A miss probes the other
+//! side by reading the line's holder bits, not by asking every cache.
 
 use crate::access::AccessKind;
 use crate::addr::{AddrRange, LineAddr};
-use crate::cache::{CacheConfig, CacheStats, SetAssocCache};
+use crate::cache::{CacheConfig, CacheOutcome, CacheStats, SetAssocCache};
+use crate::table::LineTable;
 
 /// Where an access was serviced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,6 +123,38 @@ impl HierarchyConfig {
     }
 }
 
+/// Directory bit positions of each cache: GPU L1s from bit 0, then the
+/// GPU L2, then the CPU L1s, then the CPU L2s.
+#[derive(Debug, Clone, Copy)]
+struct Holders {
+    gpu_l2: u32,
+    cpu_l1_shift: u32,
+    cpu_l2_shift: u32,
+    /// Every GPU-side bit.
+    gpu_side: u32,
+    /// Every CPU-side bit.
+    cpu_side: u32,
+}
+
+impl Holders {
+    fn new(config: &HierarchyConfig) -> Self {
+        let sms = u32::from(config.gpu_sms);
+        let cores = u32::from(config.cpu_cores);
+        assert!(
+            sms + 1 + 2 * cores <= 32,
+            "the sharer directory holds at most 32 caches"
+        );
+        let gpu_side = ((1u64 << (sms + 1)) - 1) as u32;
+        Holders {
+            gpu_l2: 1 << sms,
+            cpu_l1_shift: sms + 1,
+            cpu_l2_shift: sms + 1 + cores,
+            gpu_side,
+            cpu_side: (((1u64 << (sms + 1 + 2 * cores)) - 1) as u32) & !gpu_side,
+        }
+    }
+}
+
 /// The caches of one simulated system, CPU side and GPU side together.
 #[derive(Debug)]
 pub struct ChipHierarchy {
@@ -125,15 +163,60 @@ pub struct ChipHierarchy {
     cpu_l2: Vec<SetAssocCache>,
     gpu_l1: Vec<SetAssocCache>,
     gpu_l2: SetAssocCache,
+    /// Per line, the [`Holders`] bits of the caches holding it; kept only
+    /// when the two sides probe each other.
+    directory: Option<LineTable<u32>>,
+    holders: Holders,
     remote_hits_cpu: u64,
     remote_hits_gpu: u64,
 }
 
+/// `i` as an index into `n` caches (out-of-range ids wrap around).
+#[inline]
+fn wrap(i: u8, n: usize) -> usize {
+    let i = usize::from(i);
+    if i < n {
+        i
+    } else {
+        i % n
+    }
+}
+
+/// Records a fill's effect on the directory: `line` gained holder `bit`,
+/// and any line the fill displaced lost it.
+#[inline]
+fn track(dir: &mut Option<LineTable<u32>>, bit: u32, line: LineAddr, out: CacheOutcome) {
+    if let (Some(dir), false) = (dir, out.hit) {
+        if let Some(old) = out.evicted {
+            *dir.get_mut(old.0) &= !bit;
+        }
+        *dir.get_mut(line.0) |= bit;
+    }
+}
+
+/// Drops holder bits `mask` from every line of `range`.
+fn untrack_range(dir: &mut Option<LineTable<u32>>, mask: u32, range: AddrRange) {
+    if let Some(dir) = dir {
+        for line in range.lines() {
+            if dir.get(line.0) & mask != 0 {
+                *dir.get_mut(line.0) &= !mask;
+            }
+        }
+    }
+}
+
 impl ChipHierarchy {
     /// Creates empty caches per `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chip has more than 32 caches (`gpu_sms + 1 + 2 *
+    /// cpu_cores`), the width of a directory holder mask.
     pub fn new(config: HierarchyConfig) -> Self {
         ChipHierarchy {
             config,
+            directory: config.coherent_probes.then(LineTable::new),
+            holders: Holders::new(&config),
             cpu_l1: (0..config.cpu_cores)
                 .map(|_| SetAssocCache::new(config.cpu_l1d))
                 .collect(),
@@ -156,18 +239,24 @@ impl ChipHierarchy {
 
     /// One CPU load/store of a cache line from `core`.
     pub fn cpu_access(&mut self, core: u8, line: LineAddr, kind: AccessKind) -> AccessResult {
-        let core = core as usize % self.cpu_l1.len();
+        let core = wrap(core, self.cpu_l1.len());
+        let (l1_bit, l2_bit) = (
+            1 << (self.holders.cpu_l1_shift + core as u32),
+            1 << (self.holders.cpu_l2_shift + core as u32),
+        );
         let l1 = self.cpu_l1[core].access(line, kind);
         if l1.hit {
             return AccessResult::new(ServiceLevel::L1);
         }
+        track(&mut self.directory, l1_bit, line, l1);
         let mut result;
         // Victim path: a dirty L1 eviction is installed in the L2.
         let mut spill = l1.writeback;
         let l2 = self.cpu_l2[core].access(line, AccessKind::Read);
+        track(&mut self.directory, l2_bit, line, l2);
         if l2.hit {
             result = AccessResult::new(ServiceLevel::L2);
-        } else if self.config.coherent_probes && self.probe_gpu_side(line, kind) {
+        } else if self.probe_gpu_side(line, kind) {
             self.remote_hits_cpu += 1;
             result = AccessResult::new(ServiceLevel::Remote);
         } else {
@@ -178,6 +267,7 @@ impl ChipHierarchy {
         }
         if let Some(victim) = spill.take() {
             let vout = self.cpu_l2[core].access(victim, AccessKind::Write);
+            track(&mut self.directory, l2_bit, victim, vout);
             if let Some(wb) = vout.writeback {
                 result.push_writeback(wb);
             }
@@ -192,14 +282,20 @@ impl ChipHierarchy {
     /// per-SM L1s never hold dirty data and kernel-boundary flushes are
     /// silent.
     pub fn gpu_access(&mut self, sm: u8, line: LineAddr, kind: AccessKind) -> AccessResult {
-        let sm = sm as usize % self.gpu_l1.len();
+        let sm = wrap(sm, self.gpu_l1.len());
+        let (l1_bit, l2_bit) = (1 << sm, self.holders.gpu_l2);
         if kind.is_write() {
-            self.gpu_l1[sm].invalidate(line);
+            if self.gpu_l1[sm].invalidate(line).is_some() {
+                if let Some(dir) = &mut self.directory {
+                    *dir.get_mut(line.0) &= !l1_bit;
+                }
+            }
             let mut result;
             let l2 = self.gpu_l2.access(line, AccessKind::Write);
+            track(&mut self.directory, l2_bit, line, l2);
             if l2.hit {
                 result = AccessResult::new(ServiceLevel::L2);
-            } else if self.config.coherent_probes && self.probe_cpu_side(line, kind) {
+            } else if self.probe_cpu_side(line, kind) {
                 self.remote_hits_gpu += 1;
                 result = AccessResult::new(ServiceLevel::Remote);
             } else {
@@ -214,12 +310,14 @@ impl ChipHierarchy {
         if l1.hit {
             return AccessResult::new(ServiceLevel::L1);
         }
+        track(&mut self.directory, l1_bit, line, l1);
         let mut result;
         let mut spill = l1.writeback;
         let l2 = self.gpu_l2.access(line, AccessKind::Read);
+        track(&mut self.directory, l2_bit, line, l2);
         if l2.hit {
             result = AccessResult::new(ServiceLevel::L2);
-        } else if self.config.coherent_probes && self.probe_cpu_side(line, kind) {
+        } else if self.probe_cpu_side(line, kind) {
             self.remote_hits_gpu += 1;
             result = AccessResult::new(ServiceLevel::Remote);
         } else {
@@ -230,6 +328,7 @@ impl ChipHierarchy {
         }
         if let Some(victim) = spill.take() {
             let vout = self.gpu_l2.access(victim, AccessKind::Write);
+            track(&mut self.directory, l2_bit, victim, vout);
             if let Some(wb) = vout.writeback {
                 result.push_writeback(wb);
             }
@@ -238,85 +337,73 @@ impl ChipHierarchy {
     }
 
     /// Looks for `line` anywhere on the GPU side; on a write, invalidates
-    /// the remote copies (ownership transfer).
+    /// the remote copies (ownership transfer). Always `false` without a
+    /// directory (no coherent probes).
     fn probe_gpu_side(&mut self, line: LineAddr, kind: AccessKind) -> bool {
-        let mut found = self.gpu_l2.contains(line);
-        let mut l1_holders: Vec<usize> = Vec::new();
-        for (i, l1) in self.gpu_l1.iter().enumerate() {
-            if l1.contains(line) {
-                found = true;
-                l1_holders.push(i);
-            }
+        let Some(dir) = &mut self.directory else {
+            return false;
+        };
+        let entry = dir.get_mut(line.0);
+        let holders = *entry & self.holders.gpu_side;
+        if holders == 0 {
+            return false;
         }
-        if found && kind.is_write() {
-            self.gpu_l2.invalidate(line);
-            for i in l1_holders {
-                self.gpu_l1[i].invalidate(line);
+        let in_l2 = holders & self.holders.gpu_l2 != 0;
+        if kind.is_write() {
+            *entry &= !holders;
+            if in_l2 {
+                self.gpu_l2.invalidate(line);
             }
-        } else if found {
+            for sm in bits(holders & !self.holders.gpu_l2) {
+                self.gpu_l1[sm as usize].invalidate(line);
+            }
+        } else if in_l2 {
             // Reader gets a shared copy; the dirty owner supplies data and
             // is downgraded to clean (the data now also lives with the
             // reader, still on chip).
             self.gpu_l2.clean(line);
         }
-        found
+        true
     }
 
     /// Looks for `line` anywhere on the CPU side; on a write, invalidates
-    /// the remote copies.
+    /// the remote copies. Always `false` without a directory.
     fn probe_cpu_side(&mut self, line: LineAddr, kind: AccessKind) -> bool {
-        let mut found = false;
-        let mut holders: Vec<(bool, usize)> = Vec::new(); // (is_l1, core)
-        for (i, c) in self.cpu_l1.iter().enumerate() {
-            if c.contains(line) {
-                found = true;
-                holders.push((true, i));
+        let Some(dir) = &mut self.directory else {
+            return false;
+        };
+        let entry = dir.get_mut(line.0);
+        let holders = *entry & self.holders.cpu_side;
+        if holders == 0 {
+            return false;
+        }
+        if kind.is_write() {
+            *entry &= !holders;
+        }
+        for bit in bits(holders) {
+            let cache = if bit < self.holders.cpu_l2_shift {
+                &mut self.cpu_l1[(bit - self.holders.cpu_l1_shift) as usize]
+            } else {
+                &mut self.cpu_l2[(bit - self.holders.cpu_l2_shift) as usize]
+            };
+            if kind.is_write() {
+                cache.invalidate(line);
+            } else {
+                cache.clean(line);
             }
         }
-        for (i, c) in self.cpu_l2.iter().enumerate() {
-            if c.contains(line) {
-                found = true;
-                holders.push((false, i));
-            }
-        }
-        if found && kind.is_write() {
-            for (is_l1, i) in holders {
-                if is_l1 {
-                    self.cpu_l1[i].invalidate(line);
-                } else {
-                    self.cpu_l2[i].invalidate(line);
-                }
-            }
-        } else if found {
-            for (is_l1, i) in holders {
-                if is_l1 {
-                    self.cpu_l1[i].clean(line);
-                } else {
-                    self.cpu_l2[i].clean(line);
-                }
-            }
-        }
-        found
+        true
     }
 
     /// Prepares a DMA *read* of `range` from CPU memory: dirty CPU cache
     /// lines must be flushed so the copy engine reads current data. Returns
     /// the number of dirty lines flushed (each is an off-chip writeback).
     pub fn dma_flush_cpu(&mut self, range: AddrRange) -> u64 {
-        let mut flushed = 0;
-        for line in range.lines() {
-            for c in 0..self.cpu_l1.len() {
-                if self.cpu_l1[c].is_dirty(line) {
-                    self.cpu_l1[c].clean(line);
-                    flushed += 1;
-                }
-                if self.cpu_l2[c].is_dirty(line) {
-                    self.cpu_l2[c].clean(line);
-                    flushed += 1;
-                }
-            }
-        }
-        flushed
+        self.cpu_l1
+            .iter_mut()
+            .chain(&mut self.cpu_l2)
+            .map(|c| c.clean_range(range))
+            .sum()
     }
 
     /// Prepares a DMA *write* of `range` into CPU memory: cached copies are
@@ -329,6 +416,7 @@ impl ChipHierarchy {
             inv += self.cpu_l1[c].invalidate_range(range).0;
             inv += self.cpu_l2[c].invalidate_range(range).0;
         }
+        untrack_range(&mut self.directory, self.holders.cpu_side, range);
         inv
     }
 
@@ -336,14 +424,7 @@ impl ChipHierarchy {
     /// are flushed so the copy engine reads current data. Returns the number
     /// of dirty lines flushed (each is an off-chip writeback).
     pub fn dma_flush_gpu(&mut self, range: AddrRange) -> u64 {
-        let mut flushed = 0;
-        for line in range.lines() {
-            if self.gpu_l2.is_dirty(line) {
-                self.gpu_l2.clean(line);
-                flushed += 1;
-            }
-        }
-        flushed
+        self.gpu_l2.clean_range(range)
     }
 
     /// Invalidates a range from the GPU-side caches (DMA into GPU memory).
@@ -353,13 +434,19 @@ impl ChipHierarchy {
             inv += l1.invalidate_range(range).0;
         }
         inv += self.gpu_l2.invalidate_range(range).0;
+        untrack_range(&mut self.directory, self.holders.gpu_side, range);
         inv
     }
 
     /// Flushes the per-SM L1s, as GPUs do at kernel boundaries (their L1s
     /// are not coherent even among SMs).
     pub fn flush_gpu_l1s(&mut self) {
-        for l1 in &mut self.gpu_l1 {
+        for (sm, l1) in self.gpu_l1.iter_mut().enumerate() {
+            if let Some(dir) = &mut self.directory {
+                for line in l1.resident_lines() {
+                    *dir.get_mut(line.0) &= !(1 << sm);
+                }
+            }
             l1.flush_all();
         }
     }
@@ -393,6 +480,17 @@ impl ChipHierarchy {
     pub fn remote_hits_gpu(&self) -> u64 {
         self.remote_hits_gpu
     }
+}
+
+/// Positions of the set bits of `mask`, lowest first.
+fn bits(mut mask: u32) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros();
+            mask &= mask - 1;
+            b
+        })
+    })
 }
 
 fn sum_stats(iter: impl Iterator<Item = CacheStats>) -> CacheStats {
@@ -564,5 +662,240 @@ mod tests {
         assert_eq!(h.gpu_l1_stats().accesses(), 100);
         assert_eq!(h.gpu_l2_stats().accesses(), 100);
         assert!(h.cpu_l2_stats().accesses() >= 100);
+    }
+
+    /// The parent design: probes broadcast to every cache on the other
+    /// side. The directory must reproduce it exactly.
+    struct Broadcast {
+        cpu_l1: Vec<SetAssocCache>,
+        cpu_l2: Vec<SetAssocCache>,
+        gpu_l1: Vec<SetAssocCache>,
+        gpu_l2: SetAssocCache,
+        remote_hits: u64,
+    }
+
+    impl Broadcast {
+        fn new(c: HierarchyConfig) -> Self {
+            let many = |n: u8, cfg| (0..n).map(|_| SetAssocCache::new(cfg)).collect();
+            Broadcast {
+                cpu_l1: many(c.cpu_cores, c.cpu_l1d),
+                cpu_l2: many(c.cpu_cores, c.cpu_l2),
+                gpu_l1: many(c.gpu_sms, c.gpu_l1),
+                gpu_l2: SetAssocCache::new(c.gpu_l2),
+                remote_hits: 0,
+            }
+        }
+
+        fn finish(&mut self, level: ServiceLevel, wbs: &[Option<LineAddr>]) -> AccessResult {
+            let mut r = AccessResult::new(level);
+            if level == ServiceLevel::Remote {
+                self.remote_hits += 1;
+            }
+            for wb in wbs.iter().flatten() {
+                r.push_writeback(*wb);
+            }
+            r
+        }
+
+        fn cpu_access(&mut self, core: usize, line: LineAddr, kind: AccessKind) -> AccessResult {
+            let l1 = self.cpu_l1[core].access(line, kind);
+            if l1.hit {
+                return AccessResult::new(ServiceLevel::L1);
+            }
+            let l2 = self.cpu_l2[core].access(line, AccessKind::Read);
+            let level = if l2.hit {
+                ServiceLevel::L2
+            } else if self.probe_gpu_side(line, kind) {
+                ServiceLevel::Remote
+            } else {
+                ServiceLevel::OffChip
+            };
+            let spill = l1
+                .writeback
+                .and_then(|v| self.cpu_l2[core].access(v, AccessKind::Write).writeback);
+            self.finish(level, &[l2.writeback, spill])
+        }
+
+        fn gpu_access(&mut self, sm: usize, line: LineAddr, kind: AccessKind) -> AccessResult {
+            if kind.is_write() {
+                self.gpu_l1[sm].invalidate(line);
+            } else if self.gpu_l1[sm].access(line, kind).hit {
+                return AccessResult::new(ServiceLevel::L1);
+            }
+            let l2 = self.gpu_l2.access(line, kind);
+            let level = if l2.hit {
+                ServiceLevel::L2
+            } else if self.probe_cpu_side(line, kind) {
+                ServiceLevel::Remote
+            } else {
+                ServiceLevel::OffChip
+            };
+            self.finish(level, &[l2.writeback])
+        }
+
+        fn probe_gpu_side(&mut self, line: LineAddr, kind: AccessKind) -> bool {
+            let found = self.gpu_l2.contains(line) || self.gpu_l1.iter().any(|c| c.contains(line));
+            if found && kind.is_write() {
+                self.gpu_l2.invalidate(line);
+                for c in &mut self.gpu_l1 {
+                    c.invalidate(line);
+                }
+            } else if found {
+                self.gpu_l2.clean(line);
+            }
+            found
+        }
+
+        fn probe_cpu_side(&mut self, line: LineAddr, kind: AccessKind) -> bool {
+            let mut found = false;
+            for c in self.cpu_l1.iter_mut().chain(&mut self.cpu_l2) {
+                if c.contains(line) {
+                    found = true;
+                    if kind.is_write() {
+                        c.invalidate(line);
+                    } else {
+                        c.clean(line);
+                    }
+                }
+            }
+            found
+        }
+    }
+
+    /// The directory names exactly the caches that hold `line`.
+    fn assert_directory_exact(h: &ChipHierarchy, line: LineAddr) {
+        let dir = h.directory.as_ref().expect("coherent");
+        let mut want = 0u32;
+        for (i, c) in h.gpu_l1.iter().enumerate() {
+            want |= u32::from(c.contains(line)) << i;
+        }
+        want |= if h.gpu_l2.contains(line) {
+            h.holders.gpu_l2
+        } else {
+            0
+        };
+        for (i, c) in h.cpu_l1.iter().enumerate() {
+            want |= u32::from(c.contains(line)) << (h.holders.cpu_l1_shift + i as u32);
+        }
+        for (i, c) in h.cpu_l2.iter().enumerate() {
+            want |= u32::from(c.contains(line)) << (h.holders.cpu_l2_shift + i as u32);
+        }
+        assert_eq!(dir.get(line.0), want, "holders of line {}", line.0);
+    }
+
+    /// Directory probes give the same results, writebacks, remote-hit
+    /// counts and DMA tallies as broadcast probes, under random CPU/GPU
+    /// reads and writes interleaved with DMA flush/invalidate ranges and
+    /// kernel-boundary L1 flushes, on small caches so evictions are
+    /// frequent.
+    #[test]
+    fn directory_matches_broadcast_reference() {
+        let config = HierarchyConfig {
+            cpu_cores: 4,
+            cpu_l1d: CacheConfig::new(1024, 2),
+            cpu_l2: CacheConfig::new(4096, 4),
+            gpu_sms: 16,
+            gpu_l1: CacheConfig::new(768, 6),
+            gpu_l2: CacheConfig::new(8192, 4),
+            coherent_probes: true,
+        };
+        heteropipe_sim::check::cases(48, 0xD1EC, |g| {
+            let mut h = ChipHierarchy::new(config);
+            let mut r = Broadcast::new(config);
+            // Two allocator-like regions whose lines share sets.
+            let bases = [0u64, 0x1000_0000 / 128];
+            let pick =
+                |g: &mut heteropipe_sim::check::Gen| LineAddr(bases[g.usize(0, 2)] + g.u64(0, 192));
+            for _ in 0..g.usize(1, 1500) {
+                let kind = if g.bool() {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let line = pick(g);
+                match g.usize(0, 40) {
+                    0 => {
+                        let range = AddrRange::new(line.base(), g.u64(1, 40) * 128);
+                        assert_eq!(
+                            h.dma_flush_cpu(range),
+                            dma_flush(&mut r.cpu_l1, &mut r.cpu_l2, range)
+                        );
+                    }
+                    1 => {
+                        let range = AddrRange::new(line.base(), g.u64(1, 40) * 128);
+                        let mut want = 0;
+                        for c in r.cpu_l1.iter_mut().chain(&mut r.cpu_l2) {
+                            want += c.invalidate_range(range).0;
+                        }
+                        assert_eq!(h.dma_invalidate_cpu(range), want);
+                    }
+                    2 => {
+                        let range = AddrRange::new(line.base(), g.u64(1, 40) * 128);
+                        assert_eq!(
+                            h.dma_flush_gpu(range),
+                            dma_flush(&mut [], std::slice::from_mut(&mut r.gpu_l2), range)
+                        );
+                    }
+                    3 => {
+                        let range = AddrRange::new(line.base(), g.u64(1, 40) * 128);
+                        let mut want = 0;
+                        for c in r.gpu_l1.iter_mut().chain(std::iter::once(&mut r.gpu_l2)) {
+                            want += c.invalidate_range(range).0;
+                        }
+                        assert_eq!(h.dma_invalidate_gpu(range), want);
+                    }
+                    4 => {
+                        h.flush_gpu_l1s();
+                        for c in &mut r.gpu_l1 {
+                            c.flush_all();
+                        }
+                    }
+                    k if k % 2 == 0 => {
+                        let core = g.usize(0, 4);
+                        assert_eq!(
+                            h.cpu_access(core as u8, line, kind),
+                            r.cpu_access(core, line, kind)
+                        );
+                    }
+                    _ => {
+                        let sm = g.usize(0, 16);
+                        assert_eq!(
+                            h.gpu_access(sm as u8, line, kind),
+                            r.gpu_access(sm, line, kind)
+                        );
+                    }
+                }
+                assert_directory_exact(&h, line);
+            }
+            assert_eq!(h.remote_hits_cpu() + h.remote_hits_gpu(), r.remote_hits);
+            for base in bases {
+                for i in 0..192 {
+                    assert_directory_exact(&h, LineAddr(base + i));
+                }
+            }
+        });
+    }
+
+    /// The DMA pre-read flush of the reference: clean every dirty copy.
+    fn dma_flush(l1: &mut [SetAssocCache], l2: &mut [SetAssocCache], range: AddrRange) -> u64 {
+        let mut flushed = 0;
+        for line in range.lines() {
+            for c in l1.iter_mut().chain(l2.iter_mut()) {
+                if c.is_dirty(line) {
+                    c.clean(line);
+                    flushed += 1;
+                }
+            }
+        }
+        flushed
+    }
+
+    #[test]
+    fn probes_never_touch_a_discrete_hierarchy() {
+        let mut h = discrete();
+        assert!(h.directory.is_none());
+        h.cpu_access(0, LineAddr(3), AccessKind::Write);
+        assert!(!h.probe_gpu_side(LineAddr(3), AccessKind::Write));
+        assert!(!h.probe_cpu_side(LineAddr(3), AccessKind::Read));
     }
 }

@@ -19,6 +19,9 @@
 //!   GDDR5, PCIe 2.0, and on-chip switch components.
 //! * [`page`] — page table and the CPU-handled GPU page-fault model of the
 //!   heterogeneous processor.
+//! * [`table`] — dense line- and page-indexed tables, the storage behind
+//!   the page table, the coherence directory and the per-line trackers of
+//!   the functional walk.
 //!
 //! The caches are *functional*: they answer hit/miss and produce evictions
 //! but carry no timing. Timing is applied at stage granularity by the
@@ -36,6 +39,7 @@ pub mod hierarchy;
 pub mod mshr;
 pub mod page;
 pub mod pcie;
+pub mod table;
 pub mod xbar;
 
 pub use access::{AccessKind, Requester};
@@ -44,3 +48,4 @@ pub use alloc::{AddressSpace, Allocator};
 pub use cache::{CacheConfig, CacheStats, SetAssocCache};
 pub use hierarchy::{AccessResult, ChipHierarchy, HierarchyConfig, ServiceLevel};
 pub use page::{PageTable, TouchOutcome};
+pub use table::LineTable;
